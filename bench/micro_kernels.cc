@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the numeric kernels:
-// GEMM variants, CD-1 epoch, sls gradient naive vs fast (the ablation of
-// the algebraic reduction), and the three clusterers.
+// GEMM variants, the symmetric eigensolver, CD-1 epoch, sls gradient
+// naive vs fast (the ablation of the algebraic reduction), and the three
+// clusterers.
 #include <benchmark/benchmark.h>
 
 #include "clustering/affinity_propagation.h"
@@ -8,6 +9,7 @@
 #include "clustering/kmeans.h"
 #include "core/sls_gradient.h"
 #include "data/synthetic.h"
+#include "linalg/eigen.h"
 #include "linalg/ops.h"
 #include "rbm/grbm.h"
 #include "rbm/rbm.h"
@@ -45,6 +47,21 @@ void BM_GemmTransA(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GemmTransA)->Arg(128)->Arg(256);
+
+// Dense symmetric eigensolve up to the UCI spectral voter's n = 569; the
+// per-iteration copy of the input is O(n²) against the solve's O(n³).
+void BM_SymmetricEigen(benchmark::State& state) {
+  const std::size_t n = state.range(0);
+  linalg::Matrix a = RandomMatrix(n, n, 7);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) a(j, i) = a(i, j);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::SymmetricEigen(a));
+  }
+}
+BENCHMARK(BM_SymmetricEigen)->Arg(64)->Arg(256)->Arg(569)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PairwiseDistances(benchmark::State& state) {
   const std::size_t n = state.range(0);

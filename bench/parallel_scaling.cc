@@ -2,7 +2,7 @@
 //
 // Measures every kernel family the engine covers — the GEMM /
 // pairwise-distance hot paths, one CD-1 training epoch, GMM EM, the
-// spectral embedding (affinity + Jacobi eigensolve), agglomerative
+// spectral embedding (parallel affinity + serial eigensolve), agglomerative
 // linkage, PCA fit, the sls supervision gradient, dataset synthesis, and
 // the opt-in sharded Gibbs sampler — at 1/2/4/8 threads, and emits a
 // JSON document:
@@ -117,8 +117,8 @@ int main() {
   cd1.batch_size = 0;  // full batch, the paper's small-dataset setting
   cd1.seed = 7;
 
-  // Smaller substrates for the super-linear kernels (Jacobi is O(n³) per
-  // sweep, agglomerative O(n³) total).
+  // Smaller substrates for the super-linear kernels (the eigensolve and
+  // agglomerative linkage are both O(n³)).
   const std::size_t n_spec = std::min<std::size_t>(n, 320);
   const std::size_t n_agg = std::min<std::size_t>(n, 480);
   data::GaussianMixtureSpec synth_spec;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "clustering/partition.h"
 #include "linalg/ops.h"
@@ -193,17 +194,17 @@ ClusteringResult AffinityPropagation::Cluster(const linalg::Matrix& x,
       s(i, j) += 1e-12 * rng.Gaussian();
     }
   }
-  const double median_sim = linalg::Percentile(off_diag, 50.0);
-  double lo_sim = median_sim, hi_sim = median_sim;
+  double lo_sim = off_diag[0], hi_sim = off_diag[0];
   for (double v : off_diag) {
     lo_sim = std::min(lo_sim, v);
     hi_sim = std::max(hi_sim, v);
   }
+  const double median_sim = linalg::Percentile(std::move(off_diag), 50.0);
 
+  // Each run overwrites the whole diagonal, so `s` is reused in place.
   auto run_with_pref = [&](double pref) {
-    linalg::Matrix sp = s;
-    for (std::size_t i = 0; i < n; ++i) sp(i, i) = pref;
-    return RunMessagePassing(sp, config_);
+    for (std::size_t i = 0; i < n; ++i) s(i, i) = pref;
+    return RunMessagePassing(s, config_);
   };
 
   ApRun best_run;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "clustering/kmeans.h"
@@ -77,20 +78,17 @@ void SparsifyToKnn(linalg::Matrix* w, const linalg::Matrix& d2, int knn) {
       });
 }
 
-}  // namespace
-
-linalg::Matrix Spectral::Embed(const linalg::Matrix& x) const {
+// RBF affinity with zero diagonal, optionally sparsified to the
+// symmetric kNN graph. The n×n squared distances are freed on return,
+// before the caller's eigensolve allocates.
+linalg::Matrix Affinity(const linalg::Matrix& x,
+                        const Spectral::Options& options) {
   const std::size_t n = x.rows();
-  MCIRBM_CHECK_GT(n, 0u) << "empty input";
-  const std::size_t k =
-      std::min(static_cast<std::size_t>(options_.num_clusters), n);
-
   const linalg::Matrix d2 = linalg::PairwiseSquaredDistances(x);
   const double sigma =
-      options_.sigma > 0 ? options_.sigma : MedianPairwiseDistance(d2);
+      options.sigma > 0 ? options.sigma : MedianPairwiseDistance(d2);
   const double inv = 1.0 / (2 * sigma * sigma);
 
-  // RBF affinity with zero diagonal.
   linalg::Matrix w(n, n);
   parallel::ParallelFor(
       n, kRowGrain, [&](std::size_t begin, std::size_t end) {
@@ -100,9 +98,22 @@ linalg::Matrix Spectral::Embed(const linalg::Matrix& x) const {
           }
         }
       });
-  if (options_.knn > 0) SparsifyToKnn(&w, d2, options_.knn);
+  if (options.knn > 0) SparsifyToKnn(&w, d2, options.knn);
+  return w;
+}
 
-  // Symmetric normalized Laplacian L = I − D^{-1/2} W D^{-1/2}.
+}  // namespace
+
+linalg::Matrix Spectral::Embed(const linalg::Matrix& x) const {
+  const std::size_t n = x.rows();
+  MCIRBM_CHECK_GT(n, 0u) << "empty input";
+  const std::size_t k =
+      std::min(static_cast<std::size_t>(options_.num_clusters), n);
+
+  linalg::Matrix w = Affinity(x, options_);
+
+  // Symmetric normalized Laplacian L = I − D^{-1/2} W D^{-1/2}, written
+  // over W (each entry is read once, then replaced).
   std::vector<double> inv_sqrt_degree(n);
   parallel::ParallelFor(
       n, kRowGrain, [&](std::size_t begin, std::size_t end) {
@@ -112,20 +123,19 @@ linalg::Matrix Spectral::Embed(const linalg::Matrix& x) const {
           inv_sqrt_degree[i] = deg > 0 ? 1.0 / std::sqrt(deg) : 0.0;
         }
       });
-  linalg::Matrix laplacian(n, n);
   parallel::ParallelFor(
       n, kRowGrain, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           for (std::size_t j = 0; j < n; ++j) {
             const double norm =
                 inv_sqrt_degree[i] * w(i, j) * inv_sqrt_degree[j];
-            laplacian(i, j) = (i == j ? 1.0 : 0.0) - norm;
+            w(i, j) = (i == j ? 1.0 : 0.0) - norm;
           }
         }
       });
 
   const linalg::EigenDecomposition eig =
-      linalg::JacobiEigenSymmetric(laplacian);
+      linalg::SymmetricEigen(std::move(w));
   MCIRBM_CHECK(eig.converged) << "Laplacian eigendecomposition diverged";
   linalg::Matrix embedding = linalg::BottomEigenvectors(eig, k);
 

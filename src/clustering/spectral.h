@@ -15,8 +15,9 @@
 namespace mcirbm::clustering {
 
 /// Normalized-cut spectral clustering: RBF (or kNN-connectivity) affinity,
-/// symmetric normalized Laplacian, bottom-k eigenvectors (via the Jacobi
-/// solver), row normalization, then k-means in the embedding.
+/// symmetric normalized Laplacian, bottom-k eigenvectors (via the
+/// tridiagonal QL eigensolver), row normalization, then k-means in the
+/// embedding.
 class Spectral : public Clusterer {
  public:
   struct Options {

@@ -1,9 +1,12 @@
-// Symmetric eigendecomposition via the cyclic Jacobi rotation method.
+// Symmetric eigendecomposition: Householder tridiagonalization followed by
+// implicit-shift QL with eigenvector accumulation (tred2/tql2; Golub &
+// Van Loan §8.3).
 //
 // The spectral-clustering substrate and the PCA module need eigenpairs of
-// small symmetric matrices (covariance / graph Laplacians, n up to ~1k).
-// Jacobi is the right tool at that scale: unconditionally stable,
-// dependency-free and accurate to machine precision for symmetric input.
+// dense symmetric matrices (covariance / graph Laplacians, n up to ~1k).
+// The solver is serial and O(n³) with small constants: callers already
+// run it inside a parallel fan-out (one spectral voter among several), so
+// it owns no thread-pool dispatch. Both phases update contiguous rows.
 #ifndef MCIRBM_LINALG_EIGEN_H_
 #define MCIRBM_LINALG_EIGEN_H_
 
@@ -17,26 +20,21 @@ namespace mcirbm::linalg {
 struct EigenDecomposition {
   /// Eigenvalues in descending order.
   std::vector<double> values;
-  /// Column j of `vectors` is the unit eigenvector for values[j].
+  /// Column j of `vectors` is the unit eigenvector for values[j], signed
+  /// so that its largest-magnitude entry (lowest index on ties) is
+  /// positive.
   Matrix vectors;
-  /// Sweeps until convergence (off-diagonal norm below tolerance).
-  int sweeps = 0;
+  /// False when some eigenvalue needed more than 30 QL iterations; the
+  /// remaining fields are then unreliable.
   bool converged = false;
 };
 
-/// Options for the Jacobi iteration.
-struct JacobiOptions {
-  /// Stop when the off-diagonal Frobenius norm falls below
-  /// `tolerance * initial_frobenius_norm`.
-  double tolerance = 1e-12;
-  int max_sweeps = 64;
-};
-
-/// Decomposes a symmetric matrix `a` (validated: squareness always,
-/// symmetry up to 1e-9 relative). Returns eigenvalues sorted descending
-/// with matching eigenvector columns.
-EigenDecomposition JacobiEigenSymmetric(const Matrix& a,
-                                        const JacobiOptions& options = {});
+/// Decomposes a symmetric matrix `a` (validated: squareness, finiteness,
+/// symmetry up to 1e-9 relative). Takes `a` by value and works in its
+/// buffer, so callers that are done with the matrix can `std::move` it
+/// in. Returns eigenvalues sorted descending with matching eigenvector
+/// columns.
+EigenDecomposition SymmetricEigen(Matrix a);
 
 /// The `k` eigenvector columns with the largest eigenvalues, as an
 /// n x k matrix (convenience for PCA / spectral embedding).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/eigen.h"
 #include "linalg/ops.h"
@@ -64,7 +65,7 @@ Pca Pca::Fit(const Matrix& x, const Options& options) {
   Matrix cov = GemmTransA(centered, centered);
   cov *= 1.0 / static_cast<double>(n - 1);
 
-  const EigenDecomposition eig = JacobiEigenSymmetric(cov);
+  const EigenDecomposition eig = SymmetricEigen(std::move(cov));
   MCIRBM_CHECK(eig.converged) << "covariance eigendecomposition diverged";
 
   std::size_t k = options.num_components;

@@ -198,8 +198,8 @@ TEST_F(ParityTest, GmmFitSoftBitIdenticalAcrossWidths) {
 }
 
 TEST_F(ParityTest, SpectralEmbeddingBitIdenticalAcrossWidths) {
-  // 300 rows: the affinity/Laplacian shards split (grain 32) and the
-  // Jacobi rotations cross their serial-inline threshold (grain 256).
+  // 300 rows: the affinity/Laplacian shards split (grain 32); the serial
+  // eigensolve must not pick up any thread-count dependence from them.
   const data::Dataset ds = ParityDataset(3, 300, 8, 37);
   clustering::Spectral::Options options;
   options.num_clusters = 3;
