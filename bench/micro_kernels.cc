@@ -48,6 +48,44 @@ void BM_GemmTransA(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransA)->Arg(128)->Arg(256);
 
+// CD-1 on synth MSRA: 896 rows, 892 visible units, 96 hidden units. The
+// reconstruction H·Wᵀ and the gradient update dw += alpha·Vᵀ·H against
+// sampled 0/1 hidden states.
+constexpr std::size_t kCdRows = 896;
+constexpr std::size_t kCdVisible = 892;
+constexpr std::size_t kCdHidden = 96;
+
+void SetGemmRate(benchmark::State& state, double multiply_adds) {
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * multiply_adds, benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_GemmTransB(benchmark::State& state) {
+  const linalg::Matrix h = RandomMatrix(kCdRows, kCdHidden, 10);
+  const linalg::Matrix w = RandomMatrix(kCdVisible, kCdHidden, 11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::GemmTransB(h, w));
+  }
+  SetGemmRate(state, 1.0 * kCdRows * kCdVisible * kCdHidden);
+}
+BENCHMARK(BM_GemmTransB)->Unit(benchmark::kMillisecond);
+
+void BM_AccumulateGemmTransA(benchmark::State& state) {
+  const linalg::Matrix v = RandomMatrix(kCdRows, kCdVisible, 12);
+  linalg::Matrix h(kCdRows, kCdHidden);
+  rng::Rng rng(13);
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    h.data()[i] = rng.Uniform() < 0.5 ? 0.0 : 1.0;
+  }
+  linalg::Matrix dw(kCdVisible, kCdHidden);
+  for (auto _ : state) {
+    linalg::AccumulateGemmTransA(-1.0 / kCdRows, v, h, &dw);
+    benchmark::DoNotOptimize(dw.data());
+  }
+  SetGemmRate(state, 1.0 * kCdRows * kCdVisible * kCdHidden);
+}
+BENCHMARK(BM_AccumulateGemmTransA)->Unit(benchmark::kMillisecond);
+
 // Dense symmetric eigensolve up to the UCI spectral voter's n = 569; the
 // per-iteration copy of the input is O(n²) against the solve's O(n³).
 void BM_SymmetricEigen(benchmark::State& state) {
@@ -63,14 +101,21 @@ void BM_SymmetricEigen(benchmark::State& state) {
 BENCHMARK(BM_SymmetricEigen)->Arg(64)->Arg(256)->Arg(569)
     ->Unit(benchmark::kMillisecond);
 
-void BM_PairwiseDistances(benchmark::State& state) {
+// n rows x d features; 569x32 is synth UCI, 896x892 synth MSRA (the DP
+// and AP voters' distance matrix).
+void BM_PairwiseSquaredDistances(benchmark::State& state) {
   const std::size_t n = state.range(0);
-  const linalg::Matrix m = RandomMatrix(n, 64, 5);
+  const linalg::Matrix m = RandomMatrix(n, state.range(1), 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::PairwiseSquaredDistances(m));
   }
 }
-BENCHMARK(BM_PairwiseDistances)->Arg(128)->Arg(512);
+BENCHMARK(BM_PairwiseSquaredDistances)
+    ->Args({128, 64})
+    ->Args({512, 64})
+    ->Args({569, 32})
+    ->Args({896, 892})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RbmCdEpoch(benchmark::State& state) {
   const int nv = static_cast<int>(state.range(0));

@@ -8,16 +8,142 @@
 namespace mcirbm::linalg {
 
 namespace {
-constexpr std::size_t kBlock = 64;  // elements per cache tile dimension
+constexpr std::size_t kTargetShardWork = std::size_t{1} << 16;
 
 // Rows per shard so one shard carries ~64k multiply-adds. Depends only on
 // the problem shape (never the thread count), so shard boundaries — and
 // therefore results — are identical at any pool width. Small problems
 // collapse to a single shard, which ParallelFor runs inline.
 std::size_t RowGrain(std::size_t unit_cost) {
-  constexpr std::size_t kTargetShardWork = std::size_t{1} << 16;
   return std::max<std::size_t>(
       1, kTargetShardWork / std::max<std::size_t>(1, unit_cost));
+}
+
+// GEMM register tile: kMr rows x kNr columns of C live in kMr·kNr scalar
+// accumulators, which g++ keeps in SSE2 registers (2x8 = 8 xmm).
+constexpr std::size_t kMr = 2;
+constexpr std::size_t kNr = 8;
+// A GEMM shard owns a kShardRows x kShardCols block of C and walks the
+// summed dimension in slices of kKc, so one packed kKc x kNr panel of the
+// right operand (16 KB) stays in L1 while the left operand's tiles stream.
+constexpr std::size_t kShardRows = 32;
+constexpr std::size_t kShardCols = 32;
+constexpr std::size_t kKc = 256;
+static_assert(kShardRows % kMr == 0 && kShardCols % kNr == 0);
+
+// A GEMM operand read as x(r, p) = base[r * row_stride + p * p_stride]:
+// p runs over the summed dimension, r over C's rows (left operand) or C's
+// columns (right operand). A transpose is a swap of the two strides.
+struct Operand {
+  const double* base;
+  std::size_t row_stride;
+  std::size_t p_stride;
+};
+
+// Packs rows [r0, r0 + rows) of `x`, times `scale`, into a p-major panel of
+// `width` >= rows lanes: dst[p * width + r] = scale · x(r0 + r, p), with
+// lanes past `rows` zero.
+void PackPanel(const Operand& x, std::size_t r0, std::size_t rows,
+               std::size_t k, std::size_t width, double scale, double* dst) {
+  if (rows < width) std::fill(dst, dst + k * width, 0.0);
+  const double* src = x.base + r0 * x.row_stride;
+  for (std::size_t p = 0; p < k; ++p, src += x.p_stride, dst += width) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      dst[r] = scale * src[r * x.row_stride];
+    }
+  }
+}
+
+// One full kMr x kNr tile: c(ii, jj) += Σ_p a[p][ii] · b[p][jj] for
+// p = 0..k-1 in order, one accumulator per element.
+void MicroKernel(std::size_t k, const double* a, const double* b, double* c,
+                 std::size_t ldc) {
+  double acc[kMr][kNr] = {};
+  for (std::size_t ii = 0; ii < kMr; ++ii) {
+    for (std::size_t jj = 0; jj < kNr; ++jj) acc[ii][jj] = c[ii * ldc + jj];
+  }
+  for (std::size_t p = 0; p < k; ++p, a += kMr, b += kNr) {
+    for (std::size_t ii = 0; ii < kMr; ++ii) {
+      for (std::size_t jj = 0; jj < kNr; ++jj) acc[ii][jj] += a[ii] * b[jj];
+    }
+  }
+  for (std::size_t ii = 0; ii < kMr; ++ii) {
+    for (std::size_t jj = 0; jj < kNr; ++jj) c[ii * ldc + jj] = acc[ii][jj];
+  }
+}
+
+// c (row-major m x n) += alpha·a · b, i.e. every element becomes
+//   c(i,j) + (alpha·a(i,0))·b(0,j) + ... + (alpha·a(i,k-1))·b(k-1,j),
+// summed left to right in one accumulator. That sequence depends only on
+// row i of a and column j of b — not on m, n, the tile, the shard or the
+// thread count — so results are bit-identical at any pool width and any
+// row subset of a.
+//
+// Shards are kShardRows x kShardCols blocks of c. A shard walks k in
+// slices of kKc: it packs the slice of alpha·a as kc x kMr tiles and of b
+// as kc x kNr panels (zero-padded at the edges), then runs every tile
+// against every panel. Between slices the running sums are parked in c
+// itself; a store and reload of a double is exact.
+void GemmKernel(std::size_t m, std::size_t n, std::size_t k, double alpha,
+                const Operand& a, const Operand& b, double* c) {
+  if (m == 0 || n == 0 || k == 0) return;
+  const std::size_t col_blocks = (n + kShardCols - 1) / kShardCols;
+  const std::size_t blocks = (m + kShardRows - 1) / kShardRows * col_blocks;
+  // Whole blocks per shard so a shard carries >= kTargetShardWork
+  // multiply-adds; a product smaller than that runs inline.
+  const std::size_t block_work =
+      std::min(m, kShardRows) * std::min(n, kShardCols) * k;
+  const std::size_t grain =
+      (kTargetShardWork + block_work - 1) / block_work;
+  parallel::ParallelFor(blocks, grain, [&](std::size_t s0, std::size_t s1) {
+    const std::size_t kc_max = std::min(k, kKc);
+    std::vector<double> a_tiles(kc_max * kShardRows);
+    std::vector<double> b_panels(kc_max * kShardCols);
+    double edge[kMr * kNr] = {};
+    for (std::size_t s = s0; s < s1; ++s) {
+      const std::size_t i0 = s / col_blocks * kShardRows;
+      const std::size_t j0 = s % col_blocks * kShardCols;
+      const std::size_t i1 = std::min(i0 + kShardRows, m);
+      const std::size_t j1 = std::min(j0 + kShardCols, n);
+      for (std::size_t pc = 0; pc < k; pc += kKc) {
+        const std::size_t kc = std::min(kKc, k - pc);
+        const Operand a_slice{a.base + pc * a.p_stride, a.row_stride,
+                              a.p_stride};
+        const Operand b_slice{b.base + pc * b.p_stride, b.row_stride,
+                              b.p_stride};
+        for (std::size_t i = i0; i < i1; i += kMr) {
+          PackPanel(a_slice, i, std::min(kMr, i1 - i), kc, kMr, alpha,
+                    a_tiles.data() + (i - i0) * kc);
+        }
+        for (std::size_t j = j0; j < j1; j += kNr) {
+          PackPanel(b_slice, j, std::min(kNr, j1 - j), kc, kNr, 1.0,
+                    b_panels.data() + (j - j0) * kc);
+        }
+        for (std::size_t j = j0; j < j1; j += kNr) {
+          const std::size_t nr = std::min(kNr, j1 - j);
+          const double* b_panel = b_panels.data() + (j - j0) * kc;
+          for (std::size_t i = i0; i < i1; i += kMr) {
+            const std::size_t mr = std::min(kMr, i1 - i);
+            const double* a_tile = a_tiles.data() + (i - i0) * kc;
+            double* ct = c + i * n + j;
+            if (mr == kMr && nr == kNr) {
+              MicroKernel(kc, a_tile, b_panel, ct, n);
+              continue;
+            }
+            // Edge tile: run the full kernel on a staging copy; the
+            // padded lanes multiply packed zeros and are discarded.
+            for (std::size_t ii = 0; ii < mr; ++ii) {
+              std::copy_n(ct + ii * n, nr, edge + ii * kNr);
+            }
+            MicroKernel(kc, a_tile, b_panel, edge, kNr);
+            for (std::size_t ii = 0; ii < mr; ++ii) {
+              std::copy_n(edge + ii * kNr, nr, ct + ii * n);
+            }
+          }
+        }
+      }
+    }
+  });
 }
 }  // namespace
 
@@ -25,25 +151,7 @@ Matrix Gemm(const Matrix& a, const Matrix& b) {
   MCIRBM_CHECK_EQ(a.cols(), b.rows()) << "Gemm shape mismatch";
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   Matrix c(m, n);
-  // Row stripes are independent; within a stripe the p-blocked loop keeps
-  // the per-element accumulation order of the serial kernel, so the result
-  // is bit-identical at any thread count.
-  const std::size_t grain = std::max(kBlock, RowGrain(k * n));
-  parallel::ParallelFor(m, grain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-      const std::size_t p1 = std::min(p0 + kBlock, k);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* arow = a.data() + i * k;
-        double* crow = c.data() + i * n;
-        for (std::size_t p = p0; p < p1; ++p) {
-          const double av = arow[p];
-          if (av == 0.0) continue;
-          const double* brow = b.data() + p * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
+  GemmKernel(m, n, k, 1.0, {a.data(), k, 1}, {b.data(), 1, n}, c.data());
   return c;
 }
 
@@ -51,23 +159,7 @@ Matrix GemmTransA(const Matrix& a, const Matrix& b) {
   MCIRBM_CHECK_EQ(a.rows(), b.rows()) << "GemmTransA shape mismatch";
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   Matrix c(m, n);
-  // Partitioned by output row (column of A), but each shard keeps the
-  // serial p-outer rank-1 order on its row slice: `a` is read
-  // contiguously per p and every element still accumulates over p in
-  // increasing order, matching the serial formulation bit for bit.
-  parallel::ParallelFor(
-      m, RowGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const double* arow = a.data() + p * m;
-          const double* brow = b.data() + p * n;
-          for (std::size_t i = i0; i < i1; ++i) {
-            const double av = arow[i];
-            if (av == 0.0) continue;
-            double* crow = c.data() + i * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
+  GemmKernel(m, n, k, 1.0, {a.data(), 1, m}, {b.data(), 1, n}, c.data());
   return c;
 }
 
@@ -75,19 +167,7 @@ Matrix GemmTransB(const Matrix& a, const Matrix& b) {
   MCIRBM_CHECK_EQ(a.cols(), b.cols()) << "GemmTransB shape mismatch";
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   Matrix c(m, n);
-  parallel::ParallelFor(
-      m, RowGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          const double* arow = a.data() + i * k;
-          double* crow = c.data() + i * n;
-          for (std::size_t j = 0; j < n; ++j) {
-            const double* brow = b.data() + j * k;
-            double s = 0;
-            for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-            crow[j] = s;
-          }
-        }
-      });
+  GemmKernel(m, n, k, 1.0, {a.data(), k, 1}, {b.data(), k, 1}, c.data());
   return c;
 }
 
@@ -96,21 +176,8 @@ void AccumulateGemmTransA(double alpha, const Matrix& a, const Matrix& b,
   MCIRBM_CHECK_EQ(a.rows(), b.rows());
   MCIRBM_CHECK(out->rows() == a.cols() && out->cols() == b.cols());
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  // Same row-sliced rank-1 scheme as GemmTransA; per-element accumulation
-  // order over p is unchanged from the serial kernel.
-  parallel::ParallelFor(
-      m, RowGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const double* arow = a.data() + p * m;
-          const double* brow = b.data() + p * n;
-          for (std::size_t i = i0; i < i1; ++i) {
-            const double av = alpha * arow[i];
-            if (av == 0.0) continue;
-            double* crow = out->data() + i * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
+  GemmKernel(m, n, k, alpha, {a.data(), 1, m}, {b.data(), 1, n},
+             out->data());
 }
 
 std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
@@ -235,19 +302,19 @@ double SquaredDistance(std::span<const double> a,
 
 Matrix PairwiseSquaredDistances(const Matrix& m) {
   const std::size_t n = m.rows();
-  Matrix gram = GemmTransB(m, m);  // n x n
+  // The Gram matrix is overwritten by the distances in place; its diagonal
+  // is copied out first because every row reads all of it.
+  Matrix d = GemmTransB(m, m);  // n x n
   std::vector<double> sq(n);
-  for (std::size_t i = 0; i < n; ++i) sq[i] = gram(i, i);
-  Matrix d(n, n);
+  for (std::size_t i = 0; i < n; ++i) sq[i] = d(i, i);
   // Full-row expansion (rather than mirrored upper-triangle writes) keeps
   // every element owned by exactly one row shard; the symmetric formula
   // yields the identical value for (i,j) and (j,i).
   parallel::ParallelFor(n, RowGrain(n), [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
       double* drow = d.data() + i * n;
-      const double* grow = gram.data() + i * n;
       for (std::size_t j = 0; j < n; ++j) {
-        double v = sq[i] + sq[j] - 2.0 * grow[j];
+        double v = sq[i] + sq[j] - 2.0 * drow[j];
         if (v < 0) v = 0;  // numeric guard
         drow[j] = v;
       }

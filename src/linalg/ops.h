@@ -2,8 +2,21 @@
 //
 // GEMM variants are named by operand orientation so call sites read like the
 // math: Gemm(A,B) = A·B; GemmTransA(A,B) = Aᵀ·B; GemmTransB(A,B) = A·Bᵀ.
-// All use a cache-blocked ikj loop order — adequate for the ≤1k x ≤1k
-// problem sizes of the paper's workloads.
+// All four are wrappers over one packed, register-blocked kernel (Goto &
+// van de Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM
+// TOMS 2008): each shard of C packs zero-padded panels of both operands and
+// runs a 2x8 tile of scalar accumulators that g++ auto-vectorizes to SSE2.
+//
+// Per-element order contract: every C(i,j) starts from its initial value
+// (0, or `out` for AccumulateGemmTransA) and adds a(i,p)·b(p,j) for
+// p = 0..k-1 in ascending order into one accumulator; the accumulating
+// variant multiplies alpha into a(i,p) first. That sequence depends only on
+// row i of A and column j of B — never on the matrix shape, tile, shard or
+// thread count — so results are bit-identical at any pool width, and a row
+// of A·B computed on a row subset of A equals the same row of the full
+// product (serve's row-independence rests on this). Splitting k across
+// accumulators, FMA contraction, -ffast-math or -march would each change
+// bits, so none is used.
 #ifndef MCIRBM_LINALG_OPS_H_
 #define MCIRBM_LINALG_OPS_H_
 
@@ -62,7 +75,8 @@ Matrix SigmoidDeriv(const Matrix& a);
 double SquaredDistance(std::span<const double> a, std::span<const double> b);
 
 /// Dense pairwise squared-distance matrix between rows of `m` (n x n,
-/// symmetric, zero diagonal). Uses the expansion |a|²+|b|²−2a·b with a GEMM.
+/// symmetric, zero diagonal). Uses the expansion |a|²+|b|²−2a·b with a GEMM
+/// and writes the distances over the Gram buffer (one n x n allocation).
 Matrix PairwiseSquaredDistances(const Matrix& m);
 
 /// Dot product of two equal-length spans.

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "rng/rng.h"
 
@@ -16,7 +19,9 @@ Matrix RandomMatrix(std::size_t r, std::size_t c, rng::Rng* rng) {
   return m;
 }
 
-// Reference O(mnk) GEMM with no blocking, used as ground truth.
+// Reference O(mnk) GEMM with no blocking, used as ground truth. Each
+// element sums its k products in ascending p into one accumulator — the
+// per-element order every GEMM variant promises, so comparisons are exact.
 Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -27,6 +32,31 @@ Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
     }
   }
   return c;
+}
+
+// Byte equality, reporting the first differing element.
+::testing::AssertionResult SameBits(const Matrix& got,
+                                    const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows() << "x" << got.cols() << " vs "
+           << want.rows() << "x" << want.cols();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(got.data() + i, want.data() + i, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element (" << i / got.cols() << "," << i % got.cols()
+             << "): " << got.data()[i] << " vs " << want.data()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Rows [begin, begin + count) of `m`.
+Matrix RowRange(const Matrix& m, std::size_t begin, std::size_t count) {
+  std::vector<std::size_t> rows(count);
+  for (std::size_t r = 0; r < count; ++r) rows[r] = begin + r;
+  return m.SelectRows(rows);
 }
 
 TEST(GemmTest, SmallKnownProduct) {
@@ -48,8 +78,23 @@ TEST(GemmTest, IdentityIsNeutral) {
   EXPECT_TRUE(Gemm(id, a).AllClose(a, 1e-12));
 }
 
-// Property sweep: blocked GEMM variants agree with the naive reference
-// across awkward shapes (non-multiples of the block size, thin, wide).
+// Zero operands add ±0 to a sum that starts at +0, so an all-zero row
+// yields +0 everywhere — never -0 — even against negative entries.
+TEST(GemmTest, ZeroRowYieldsPositiveZero) {
+  Matrix a{{0, 0, 0}, {0, -0.0, 0}};
+  Matrix b{{-1, 2}, {-3, -4}, {5, -6}};
+  for (const Matrix& c : {Gemm(a, b), GemmTransA(a.Transposed(), b),
+                          GemmTransB(a, b.Transposed())}) {
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      EXPECT_EQ(c.data()[i], 0.0);
+      EXPECT_FALSE(std::signbit(c.data()[i])) << "element " << i;
+    }
+  }
+}
+
+// Property sweep: every GEMM variant is bit-identical to the naive
+// reference across shapes that straddle the 2x8 register tile, the 32x32
+// shard block and the 256-deep k slice (thin, wide, and ragged edges).
 class GemmShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -58,7 +103,7 @@ TEST_P(GemmShapeTest, MatchesNaiveReference) {
   rng::Rng rng(1000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(k, n, &rng);
-  EXPECT_TRUE(Gemm(a, b).AllClose(NaiveGemm(a, b), 1e-9));
+  EXPECT_TRUE(SameBits(Gemm(a, b), NaiveGemm(a, b)));
 }
 
 TEST_P(GemmShapeTest, TransAMatchesExplicitTranspose) {
@@ -66,8 +111,7 @@ TEST_P(GemmShapeTest, TransAMatchesExplicitTranspose) {
   rng::Rng rng(2000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(k, m, &rng);  // will be transposed
   Matrix b = RandomMatrix(k, n, &rng);
-  EXPECT_TRUE(
-      GemmTransA(a, b).AllClose(NaiveGemm(a.Transposed(), b), 1e-9));
+  EXPECT_TRUE(SameBits(GemmTransA(a, b), NaiveGemm(a.Transposed(), b)));
 }
 
 TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
@@ -75,8 +119,32 @@ TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
   rng::Rng rng(3000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(n, k, &rng);  // will be transposed
-  EXPECT_TRUE(
-      GemmTransB(a, b).AllClose(NaiveGemm(a, b.Transposed()), 1e-9));
+  EXPECT_TRUE(SameBits(GemmTransB(a, b), NaiveGemm(a, b.Transposed())));
+}
+
+// The gradient form: out += alpha·Aᵀ·B with a non-zero `out`, a negative
+// alpha and a 0/1 B (sampled hidden states). alpha scales A's entry before
+// the product, and each element continues from its `out` value.
+TEST_P(GemmShapeTest, AccumulateTransAMatchesReference) {
+  const auto [m, k, n] = GetParam();
+  rng::Rng rng(4000 + m * 97 + k * 13 + n);
+  const double alpha = -0.37;
+  Matrix a = RandomMatrix(k, m, &rng);
+  Matrix b(k, n);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b.data()[i] = rng.Uniform() < 0.5 ? 0.0 : 1.0;
+  }
+  Matrix out = RandomMatrix(m, n, &rng);
+  Matrix expected = out;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      double s = expected(i, j);
+      for (int p = 0; p < k; ++p) s += (alpha * a(p, i)) * b(p, j);
+      expected(i, j) = s;
+    }
+  }
+  AccumulateGemmTransA(alpha, a, b, &out);
+  EXPECT_TRUE(SameBits(out, expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -85,7 +153,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(7, 64, 9), std::make_tuple(65, 3, 64),
                       std::make_tuple(64, 64, 64),
                       std::make_tuple(100, 17, 65),
-                      std::make_tuple(2, 129, 1)));
+                      std::make_tuple(2, 129, 1), std::make_tuple(2, 7, 8),
+                      std::make_tuple(1, 9, 7), std::make_tuple(31, 33, 33),
+                      std::make_tuple(33, 255, 31),
+                      std::make_tuple(32, 256, 32),
+                      std::make_tuple(34, 257, 40),
+                      std::make_tuple(130, 97, 53),
+                      std::make_tuple(9, 600, 17)));
 
 TEST(AccumulateGemmTransATest, AddsScaledProduct) {
   rng::Rng rng(4);
@@ -98,6 +172,30 @@ TEST(AccumulateGemmTransATest, AddsScaledProduct) {
     expected.data()[i] += 1.0;
   }
   EXPECT_TRUE(out.AllClose(expected, 1e-9));
+}
+
+// Row independence: a row of A·B (and of A·Bᵀ) computed on a row subset of
+// A is byte-equal to the same row of the full product, whatever the subset
+// size or offset relative to the tile and shard grid. Serving a micro-batch
+// equals a one-shot Transform because of this.
+TEST(GemmRowIndependenceTest, RowSubsetsMatchFullProduct) {
+  rng::Rng rng(8);
+  const std::size_t m = 200, k = 300, n = 97;
+  const Matrix a = RandomMatrix(m, k, &rng);
+  const Matrix b = RandomMatrix(k, n, &rng);
+  const Matrix bt = RandomMatrix(n, k, &rng);
+  const Matrix full = Gemm(a, b);
+  const Matrix full_t = GemmTransB(a, bt);
+  for (std::size_t count : {1, 4, 63, 64, 65}) {
+    for (std::size_t offset : {1, 33, 101}) {
+      SCOPED_TRACE("rows " + std::to_string(count) + " at offset " +
+                   std::to_string(offset));
+      const Matrix sub = RowRange(a, offset, count);
+      EXPECT_TRUE(SameBits(Gemm(sub, b), RowRange(full, offset, count)));
+      EXPECT_TRUE(
+          SameBits(GemmTransB(sub, bt), RowRange(full_t, offset, count)));
+    }
+  }
 }
 
 TEST(MatVecTest, MatchesGemm) {

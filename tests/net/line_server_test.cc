@@ -30,11 +30,11 @@
 namespace mcirbm::net {
 namespace {
 
-data::Dataset TestDataset() {
+data::Dataset TestDataset(int num_instances = 32) {
   data::GaussianMixtureSpec spec;
   spec.name = "net";
   spec.num_classes = 2;
-  spec.num_instances = 32;
+  spec.num_instances = num_instances;
   spec.num_features = 6;
   spec.separation = 6.0;
   return data::GenerateGaussianMixture(spec, 21);
@@ -84,6 +84,7 @@ class LineServerTest : public ::testing::Test {
     std::remove(data_path_.c_str());
     std::remove(model_path_.c_str());
     std::remove(out_path_.c_str());
+    if (!large_data_path_.empty()) std::remove(large_data_path_.c_str());
   }
 
   void StartServer(int handler_threads = 2) {
@@ -137,6 +138,7 @@ class LineServerTest : public ::testing::Test {
   }
 
   data::Dataset ds_;
+  std::string large_data_path_;  // written only by the tests that need it
   linalg::Matrix reference_;
   std::string data_path_, model_path_, out_path_;
   std::unique_ptr<serve::Router> router_;
@@ -200,12 +202,22 @@ TEST_F(LineServerTest, StatsRoundTripCarriesNetAndServeMetrics) {
 }
 
 TEST_F(LineServerTest, PipelinedResponsesCompleteOutOfOrder) {
+  // The slow request evaluates a 20k-row CSV the test writes: parsing
+  // its 2.4 MB of text alone takes tens of milliseconds whatever the
+  // speed of the numeric kernels, while op=stats takes microseconds, so
+  // the cheap handler finishes first even on a loaded machine.
+  large_data_path_ = ::testing::TempDir() + "/net_large_data.csv";
+  ASSERT_TRUE(
+      data::SaveDatasetCsv(TestDataset(20000), large_data_path_).ok());
   StartServer(/*handler_threads=*/2);
   Client client = ConnectClient();
   // A slow request tagged first, a cheap one tagged second: with two
   // handlers the cheap response overtakes — completion order, not
   // submission order.
-  ASSERT_TRUE(client.SendLine(EvaluateRequest(" id=slow")).ok());
+  ASSERT_TRUE(client
+                  .SendLine("op=evaluate model=" + model_path_ +
+                            " data=" + large_data_path_ + " id=slow")
+                  .ok());
   ASSERT_TRUE(client.SendLine("op=stats id=fast").ok());
   std::string first, second;
   ASSERT_TRUE(ReadResponse(&client, &first).ok());
