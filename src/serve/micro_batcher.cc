@@ -10,28 +10,8 @@
 
 namespace mcirbm::serve {
 
-namespace {
-
-/// Ready future carrying an error, for submissions rejected up front.
-template <typename T>
-std::future<StatusOr<T>> FailedFuture(Status status) {
-  std::promise<StatusOr<T>> promise;
-  promise.set_value(std::move(status));
-  return promise.get_future();
-}
-
-std::shared_ptr<obs::Registry> RegistryOrPrivate(
-    const std::shared_ptr<obs::Registry>& configured) {
-  return configured != nullptr ? configured
-                               : std::make_shared<obs::Registry>();
-}
-
-}  // namespace
-
 MicroBatcher::MicroBatcher(const BatcherConfig& config)
-    : config_(config),
-      registry_(RegistryOrPrivate(config.registry)),
-      flusher_([this] { FlusherLoop(); }) {}
+    : config_(config), flusher_([this] { FlusherLoop(); }) {}
 
 MicroBatcher::~MicroBatcher() { Shutdown(); }
 
@@ -45,8 +25,8 @@ void MicroBatcher::UpdateGauges(const std::string& key) {
   const double rows = load_it == key_loads_.end()
                           ? 0.0
                           : static_cast<double>(load_it->second);
-  registry_->gauge("serve_queue_depth", key).Set(depth);
-  registry_->gauge("serve_pending_rows", key).Set(rows);
+  registry_.gauge("serve_queue_depth", key).Set(depth);
+  registry_.gauge("serve_pending_rows", key).Set(rows);
 }
 
 Status MicroBatcher::Enqueue(
@@ -89,7 +69,7 @@ Status MicroBatcher::Enqueue(
           queue_it->second.pending_rows + queue_it->second.sealed_rows;
       if (held + rows.rows() > config_.max_pending_rows) {
         ++stats_.rejected_requests;
-        registry_->counter("serve_rejected_total", key).Increment();
+        registry_.counter("serve_rejected_total", key).Increment();
         return Status::Unavailable(
             "queue for model '" + key + "' is full (" +
             std::to_string(held) + " of " +
@@ -98,7 +78,7 @@ Status MicroBatcher::Enqueue(
     }
     if (config_.admission != nullptr && !config_.admission->TryAcquire()) {
       ++stats_.rejected_requests;
-      registry_->counter("serve_rejected_total", key).Increment();
+      registry_.counter("serve_rejected_total", key).Increment();
       return Status::Unavailable(
           "server is at its inflight-request limit (" +
           std::to_string(config_.admission->max_inflight()) + ")");
@@ -158,9 +138,8 @@ Status MicroBatcher::Enqueue(
     ++stats_.requests;
     stats_.rows += accepted_rows;
     key_loads_[key] += accepted_rows;
-    load_.fetch_add(accepted_rows, std::memory_order_relaxed);
-    registry_->counter("serve_requests_total", key).Increment();
-    registry_->counter("serve_rows_total", key).Increment(accepted_rows);
+    registry_.counter("serve_requests_total", key).Increment();
+    registry_.counter("serve_rows_total", key).Increment(accepted_rows);
     UpdateGauges(key);
   }
   cv_.NotifyOne();
@@ -321,16 +300,15 @@ void MicroBatcher::FlusherLoop() {
       }
       ++stats_.batches;
       stats_.batched_rows += batch.rows;
-      registry_->counter("serve_batches_total", batch.key).Increment();
+      registry_.counter("serve_batches_total", batch.key).Increment();
       obs::Histogram& queue_wait_histogram =
-          registry_->histogram("serve_queue_wait_micros", batch.key);
+          registry_.histogram("serve_queue_wait_micros", batch.key);
       for (const Request& request : batch.requests) {
         const double waited =
             static_cast<double>(now - request.enqueued_micros);
         stats_.total_queue_micros += waited;
         stats_.max_queue_micros = std::max(stats_.max_queue_micros, waited);
         queue_wait_histogram.Record(waited);
-        if (config_.record_latencies) latencies_micros_.push_back(waited);
         if (request.trace != nullptr) {
           request.trace->AddSpan("queue", request.enqueued_micros,
                                  now - request.enqueued_micros, batch.key,
@@ -352,14 +330,12 @@ void MicroBatcher::SettleLoad(const std::string& key, std::size_t rows) {
     load_it->second -= std::min(load_it->second, rows);
     if (load_it->second == 0) key_loads_.erase(load_it);
   }
-  load_.fetch_sub(std::min(load_.load(std::memory_order_relaxed), rows),
-                  std::memory_order_relaxed);
   UpdateGauges(key);
 }
 
 void MicroBatcher::ExecuteBatch(Batch* batch) {
   obs::Histogram& exec_histogram =
-      registry_->histogram("serve_batch_exec_micros", batch->key);
+      registry_.histogram("serve_batch_exec_micros", batch->key);
   const std::int64_t started = MonotonicMicros();
   // A lone request needs no assembly or slicing: its rows *are* the
   // batch, and the result matrix is handed over whole.
@@ -373,8 +349,8 @@ void MicroBatcher::ExecuteBatch(Batch* batch) {
                              batch->rows);
     }
     // Settle before completing: once a future resolves, its rows must no
-    // longer count toward this batcher's load (routers re-route on the
-    // gauge a client reads after .get()).
+    // longer count toward the serve_pending_rows gauge a client reads
+    // after .get().
     SettleLoad(batch->key, batch->rows);
     request.complete(std::move(features));
     return;
@@ -428,20 +404,9 @@ MicroBatcher::Stats MicroBatcher::stats() const {
   return stats_;
 }
 
-std::vector<double> MicroBatcher::latencies_micros() const {
-  MutexLock lock(mu_);
-  return latencies_micros_;
-}
-
 std::size_t MicroBatcher::pending_queues() const {
   MutexLock lock(mu_);
   return queues_.size() + ready_.size();
-}
-
-std::size_t MicroBatcher::key_load(const std::string& key) const {
-  MutexLock lock(mu_);
-  const auto it = key_loads_.find(key);
-  return it == key_loads_.end() ? 0 : it->second;
 }
 
 }  // namespace mcirbm::serve

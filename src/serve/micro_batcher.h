@@ -30,10 +30,9 @@
 // Stats::rejected_requests) — overflow never blocks the caller and never
 // drops a request silently.
 //
-// Observability: every batcher records into an obs::Registry (its own,
-// or one injected via BatcherConfig::registry) — per-model-key
-// serve_queue_wait_micros / serve_batch_exec_micros histograms, live
-// serve_queue_depth / serve_pending_rows gauges, and
+// Observability: every batcher records into its own obs::Registry —
+// per-model-key serve_queue_wait_micros / serve_batch_exec_micros
+// histograms, live serve_queue_depth / serve_pending_rows gauges, and
 // serve_{requests,rows,batches,rejected}_total counters. All timing
 // reads util::MonotonicMicros(), the same clock as the bench drivers.
 //
@@ -54,6 +53,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/model.h"
@@ -120,17 +120,15 @@ struct BatcherConfig {
   /// a submission that cannot acquire an inflight slot is rejected with
   /// kUnavailable. Null means no global bound.
   std::shared_ptr<AdmissionController> admission;
-  /// Keep every request's queue latency for percentile analysis
-  /// (bench/serve_throughput.cc). Off by default: a long-lived server
-  /// should not grow memory per request.
-  bool record_latencies = false;
-  /// Metrics sink. The batcher records per-model-key queue-wait and
-  /// batch-execution histograms, live queue-depth / pending-rows gauges,
-  /// and request/row/batch/rejection counters into it (fixed-size state,
-  /// always on). Null means the batcher creates a private registry;
-  /// share one only if the sharer outlives the batcher.
-  std::shared_ptr<obs::Registry> registry;
 };
+
+/// Ready future carrying an error, for submissions rejected up front.
+template <typename T>
+std::future<StatusOr<T>> FailedFuture(Status status) {
+  std::promise<StatusOr<T>> promise;
+  promise.set_value(std::move(status));
+  return promise.get_future();
+}
 
 /// Coalesces per-model inference requests into batched passes.
 class MicroBatcher {
@@ -223,33 +221,15 @@ class MicroBatcher {
   };
   Stats stats() const;
 
-  /// Per-request queue latencies (enqueue -> flush start), recorded only
-  /// when BatcherConfig::record_latencies is set.
-  std::vector<double> latencies_micros() const;
-
   /// Number of model keys with requests currently queued (drained keys
   /// are dropped, so an idle batcher reports 0 regardless of how many
   /// distinct keys it has ever served).
   std::size_t pending_queues() const;
 
-  /// Live load: rows accepted but not yet through their batched pass
-  /// (queued + sealed + executing). Lock-free read — this is the signal
-  /// serve::Router's least-loaded routing polls per submission.
-  std::size_t load() const {
-    return load_.load(std::memory_order_relaxed);
-  }
-
-  /// `load()` restricted to one model key. A key with nonzero load is
-  /// "pinned": its requests are still coalescing or executing here, so a
-  /// load-aware router must keep routing it to this batcher.
-  std::size_t key_load(const std::string& key) const;
-
-  /// The metrics sink (the config's registry, or the private one).
-  const std::shared_ptr<obs::Registry>& registry() const {
-    return registry_;
-  }
+  /// Per-model-key queue-wait / batch-exec histograms, queue gauges, and
+  /// request/row/batch/rejection counters (fixed-size state, always on).
   obs::MetricsSnapshot metrics_snapshot() const {
-    return registry_->snapshot();
+    return registry_.snapshot();
   }
 
  private:
@@ -305,28 +285,26 @@ class MicroBatcher {
   void ExecuteBatch(Batch* batch) MCIRBM_EXCLUDES(mu_);
   /// Refreshes this key's queue-depth / pending-rows gauges.
   void UpdateGauges(const std::string& key) MCIRBM_REQUIRES(mu_);
-  /// Removes `rows` from this key's live-load accounting. Called by
+  /// Removes `rows` from this key's pending-rows accounting. Called by
   /// ExecuteBatch BEFORE any request future is completed, so a resolved
-  /// future implies its rows no longer count toward load(). Takes mu_
-  /// itself — call with the lock NOT held.
+  /// future implies its rows no longer count toward the
+  /// serve_pending_rows gauge. Takes mu_ itself — call with the lock NOT
+  /// held.
   void SettleLoad(const std::string& key, std::size_t rows)
       MCIRBM_EXCLUDES(mu_);
 
   const BatcherConfig config_;
-  const std::shared_ptr<obs::Registry> registry_;  // never null
+  obs::Registry registry_;
   mutable Mutex mu_;
   CondVar cv_;
   std::map<std::string, Queue> queues_ MCIRBM_GUARDED_BY(mu_);
   /// Sealed by Enqueue on model hot-swap.
   std::vector<Batch> ready_ MCIRBM_GUARDED_BY(mu_);
-  // Rows accepted but not yet executed, per key and in total (queued +
-  // sealed + executing). key_loads_ is guarded by mu_; load_ mirrors its
-  // sum atomically so routers can read it without the lock.
+  // Rows accepted but not yet executed, per key (queued + sealed +
+  // executing): the serve_pending_rows gauge.
   std::map<std::string, std::size_t> key_loads_ MCIRBM_GUARDED_BY(mu_);
-  std::atomic<std::size_t> load_{0};
   bool stopping_ MCIRBM_GUARDED_BY(mu_) = false;
   Stats stats_ MCIRBM_GUARDED_BY(mu_);
-  std::vector<double> latencies_micros_ MCIRBM_GUARDED_BY(mu_);
   // Claimed (moved out) under mu_ by Shutdown so user + destructor
   // cannot both join it. Last member: started after everything above.
   std::thread flusher_ MCIRBM_GUARDED_BY(mu_);

@@ -89,10 +89,7 @@ class ModelStore {
   /// (successful loads only — a failed probe has no artifact to label
   /// honestly). Merged into the serve-layer snapshot by serve::Router.
   obs::MetricsSnapshot metrics_snapshot() const {
-    return registry_->snapshot();
-  }
-  const std::shared_ptr<obs::Registry>& registry() const {
-    return registry_;
+    return registry_.snapshot();
   }
 
  private:
@@ -109,8 +106,7 @@ class ModelStore {
       MCIRBM_REQUIRES(mu_);
 
   const std::size_t capacity_;
-  const std::shared_ptr<obs::Registry> registry_ =
-      std::make_shared<obs::Registry>();
+  obs::Registry registry_;
   mutable Mutex mu_;
   std::list<std::string> lru_ MCIRBM_GUARDED_BY(mu_);  // front = MRU
   std::map<std::string, Entry> entries_ MCIRBM_GUARDED_BY(mu_);

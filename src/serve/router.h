@@ -1,15 +1,16 @@
-// serve::Router — replica sharding with admission control for the
-// serving layer.
+// serve::Router — the embeddable inference service.
 //
-// A Router owns N serve::Server replicas (each with its own MicroBatcher
-// and flusher thread — the unit worth replicating on a multi-socket box)
-// behind a deterministic key-hash: every model key maps to exactly one
-// replica, so one model's requests always coalesce in one batcher and
-// the routed output is bit-identical to a single Server handling the
-// same stream (pinned by tests/serve/router_test.cc at 1/2/4 replicas).
-// All replicas resolve keys through ONE shared ModelStore — an artifact
-// loaded (or Put) once serves every replica, and Reload swaps it for all
-// of them atomically.
+// Ties the serving layer together: one ModelStore resolves model keys to
+// shared artifacts, and N MicroBatcher replicas (each with its own
+// flusher thread) coalesce requests into batched passes on the global
+// parallel::ThreadPool. A deterministic key-hash maps every model key to
+// exactly one replica, so one model's requests always coalesce in one
+// batcher and the output is bit-identical at any replica count (pinned
+// by tests/serve/router_test.cc at 1/2/4 replicas) — and to calling
+// api::Model::Transform / Evaluate directly: micro-batching changes
+// throughput, never outputs. All replicas share the one store, so an
+// artifact loaded (or Put) once serves every replica, and Reload swaps
+// it for all of them atomically.
 //
 //   serve::RouterConfig config;
 //   config.replicas = 4;
@@ -17,19 +18,18 @@
 //   config.max_inflight_requests = 4096;     // global bound
 //   serve::Router router(config);
 //   auto features = router.Submit("encoder.mcirbm", row);   // future
+//   auto scored = router.SubmitEvaluate("encoder.mcirbm", rows, labels);
+//   router.Shutdown();  // flushes pending work; later submits fail
+//
+// Replicas pay off on multi-key traffic: each one is another flusher
+// thread assembling and completing batches, which the single flusher of
+// one replica serializes (bench/serve_throughput.cc, serve_replicas*).
 //
 // Admission control is fail-fast at both granularities: a submission
 // that would push a model's queue past max_pending_rows, or the whole
 // router past max_inflight_requests, resolves its future immediately
 // with StatusCode::kUnavailable (counted in stats as rejected_requests).
 // Overflow never blocks the caller and never drops a request silently.
-//
-// Routing is pluggable (RouterConfig::routing): kKeyHash binds each key
-// to its hash replica forever; kLeastLoaded sends an idle key to the
-// replica with the smallest pending-rows load, while keys with requests
-// still coalescing or executing stay pinned to their replica so one
-// model's traffic keeps batching together. Either way, per-key results
-// are bit-identical (pinned by tests/serve/router_test.cc).
 //
 // Observability: metrics_snapshot() merges every replica's
 // obs::Registry with the shared store's into one view; RenderStatsText()
@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,33 +48,14 @@
 #include "obs/registry.h"
 #include "serve/micro_batcher.h"
 #include "serve/model_store.h"
-#include "serve/server.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace mcirbm::serve {
 
-/// How the Router picks a replica for a model key.
-enum class RoutingMode {
-  /// Deterministic FNV-1a hash of the key, mod replica count. A key is
-  /// permanently bound to one replica regardless of load.
-  kKeyHash,
-  /// The replica with the smallest pending-rows load at submit time —
-  /// except for keys with requests still coalescing or executing on a
-  /// replica, which stay pinned there so one model's requests keep
-  /// batching together. Per-key results are bit-identical to kKeyHash
-  /// (every inference is row-independent and all replicas share one
-  /// store); only the queueing changes.
-  kLeastLoaded,
-};
-
 /// Replica-sharded serving knobs.
 struct RouterConfig {
-  /// Server replicas behind the key-hash (clamped to >= 1).
+  /// Batcher replicas behind the key-hash (clamped to >= 1).
   std::size_t replicas = 1;
-  /// Replica selection policy; see RoutingMode.
-  RoutingMode routing = RoutingMode::kKeyHash;
   /// Global admission bound: submissions beyond this many unresolved
   /// futures (across all replicas) are rejected with kUnavailable.
   /// 0 = unbounded.
@@ -88,7 +68,8 @@ struct RouterConfig {
   std::size_t store_capacity = 8;
 };
 
-/// N Servers behind a deterministic key-hash with one shared ModelStore.
+/// N MicroBatchers behind a deterministic key-hash with one shared
+/// ModelStore.
 class Router {
  public:
   explicit Router(const RouterConfig& config = {});
@@ -97,11 +78,12 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Routes `rows` to `model_key`'s replica for a batched Transform.
-  /// Identical semantics (and bit-identical results) to Server::Submit;
-  /// overflow, unknown models, shape mismatches, and post-Shutdown
-  /// submissions resolve the future immediately with a non-OK Status.
-  /// A non-null `trace` collects load/queue/exec spans (obs/trace.h).
+  /// Queues `rows` on `model_key`'s replica for a batched Transform
+  /// through the model cached under `model_key` (loaded from that path
+  /// on first use). Overflow, unknown models, shape mismatches, and
+  /// post-Shutdown submissions resolve the future immediately with a
+  /// non-OK Status. A non-null `trace` collects load/queue/exec spans
+  /// (obs/trace.h).
   std::future<StatusOr<linalg::Matrix>> Submit(
       const std::string& model_key, linalg::Matrix rows,
       std::shared_ptr<obs::TraceContext> trace = {});
@@ -120,19 +102,13 @@ class Router {
                 obs::TraceContext* trace = nullptr);
 
   /// The model cache shared by all replicas (pre-loading, in-memory Put).
-  ModelStore& store() { return *store_; }
+  ModelStore& store() { return store_; }
 
-  /// Deterministic replica index for `key` (exposed for tests and
-  /// capacity planning): FNV-1a over the key, mod replicas(). This is
-  /// the kKeyHash policy; under kLeastLoaded it is only the tiebreak.
+  /// The replica every submission for `key` lands on (exposed for tests
+  /// and capacity planning): FNV-1a over the key, mod replicas().
   std::size_t ReplicaFor(const std::string& key) const;
 
-  /// The replica the next submission for `key` would land on under the
-  /// configured routing mode (for kLeastLoaded this consults live load
-  /// and updates the pin table exactly like Submit).
-  std::size_t RouteFor(const std::string& key);
-
-  std::size_t replicas() const { return servers_.size(); }
+  std::size_t replicas() const { return batchers_.size(); }
 
   /// Unresolved futures currently admitted (0 when unbounded — the
   /// gauge is only maintained when max_inflight_requests is set).
@@ -157,7 +133,6 @@ class Router {
   struct Stats {
     MicroBatcher::Stats batcher;
     ModelStore::Stats store;
-    std::vector<MicroBatcher::Stats> per_replica;
   };
   Stats stats() const;
 
@@ -173,26 +148,10 @@ class Router {
     return metrics_snapshot().RenderText();
   }
 
-  /// Concatenated per-request queue latencies from every replica, when
-  /// BatcherConfig::record_latencies is set (bench support).
-  std::vector<double> latencies_micros() const;
-
  private:
-  /// Applies the routing policy; under kLeastLoaded takes routing_mu_
-  /// and maintains the key-pin table.
-  std::size_t PickReplica(const std::string& key);
-
-  RoutingMode routing_ = RoutingMode::kKeyHash;
-  std::shared_ptr<ModelStore> store_;
+  ModelStore store_;
   std::shared_ptr<AdmissionController> admission_;
-  std::vector<std::unique_ptr<Server>> servers_;
-  // kLeastLoaded state: the replica each recently routed key went to.
-  // An entry is authoritative while the key still has load on that
-  // replica (pinned); stale entries are re-resolved on next use and
-  // swept once the table outgrows kMaxIdleAssignments.
-  Mutex routing_mu_;
-  std::map<std::string, std::size_t> assignments_
-      MCIRBM_GUARDED_BY(routing_mu_);
+  std::vector<std::unique_ptr<MicroBatcher>> batchers_;
 };
 
 }  // namespace mcirbm::serve

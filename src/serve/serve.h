@@ -8,11 +8,10 @@
 //   - serve::MicroBatcher — per-model request coalescing into batched
 //     matrix passes on the global parallel::ThreadPool, bit-identical to
 //     one-at-a-time calls (serve/micro_batcher.h);
-//   - serve::Server — the client-facing facade: Submit/SubmitEvaluate
-//     futures, hot reload, serving stats (serve/server.h);
-//   - serve::Router — N Server replicas behind key-hash or load-aware
-//     routing with one shared ModelStore and fail-fast admission
-//     control (serve/router.h);
+//   - serve::Router — the client-facing service: Submit/SubmitEvaluate
+//     futures, hot reload, serving stats; N MicroBatcher replicas
+//     behind a deterministic key-hash with one shared ModelStore and
+//     fail-fast admission control (serve/router.h);
 //   - serve::ParseRequestLine — the serve request-line format, including
 //     the op=stats / op=trace observability probes, op=reload hot-swaps,
 //     and the pipelining id= tag (serve/request.h);
@@ -37,6 +36,5 @@
 #include "serve/model_store.h"
 #include "serve/request.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 #endif  // MCIRBM_SERVE_SERVE_H_

@@ -450,16 +450,17 @@ TEST_F(MicroBatcherTest, BadRequestsFailFastWithoutQueueing) {
   EXPECT_EQ(batcher.stats().requests, 0u);
 }
 
-TEST_F(MicroBatcherTest, RecordsLatenciesWhenEnabled) {
+TEST_F(MicroBatcherTest, RecordsOneQueueWaitPerRequest) {
   BatcherConfig config;
   config.max_batch_rows = 2;
-  config.record_latencies = true;
   MicroBatcher batcher(config);
   auto a = batcher.SubmitTransform(model_, "m", RowOf(ds_.x, 0));
   auto b = batcher.SubmitTransform(model_, "m", RowOf(ds_.x, 1));
   ASSERT_TRUE(a.get().ok());
   ASSERT_TRUE(b.get().ok());
-  EXPECT_EQ(batcher.latencies_micros().size(), 2u);
+  const obs::MetricsSnapshot snap = batcher.metrics_snapshot();
+  EXPECT_EQ((snap.histograms.at({"serve_queue_wait_micros", "m"}).count),
+            2u);
   EXPECT_GE(batcher.stats().max_queue_micros, 0.0);
 }
 

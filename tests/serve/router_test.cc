@@ -1,8 +1,9 @@
-// serve::Router — replica-sharded serving: bit-parity with a single
-// Server at any replica count, deterministic key-hash routing, the
-// shared cross-replica ModelStore, and fail-fast admission control (a
-// ThreadSanitizer target: the concurrent stress pins rejection behavior
-// under TSan).
+// serve::Router — end-to-end serving over saved artifacts: bit-parity
+// with direct Model::Transform / Evaluate at any replica count,
+// deterministic key-hash routing, the shared cross-replica ModelStore,
+// hot reload, shutdown semantics, and fail-fast admission control (a
+// ThreadSanitizer target: the concurrent cases pin bit-parity, rejection
+// behavior, and pending-rows settling under TSan).
 #include "serve/router.h"
 
 #include <gtest/gtest.h>
@@ -72,10 +73,10 @@ class RouterTest : public ::testing::Test {
   linalg::Matrix reference_a_, reference_b_;
 };
 
-// The tentpole guarantee: for the same request stream, a Router with any
-// replica count produces feature slices byte-equal to a single Server
-// (whose own parity with direct Model::Transform is already pinned).
-TEST_F(RouterTest, AnyReplicaCountIsBitIdenticalToASingleServer) {
+// The core guarantee: for the same request stream, a Router with any
+// replica count produces feature slices byte-equal to direct
+// Model::Transform, loading each artifact from disk exactly once.
+TEST_F(RouterTest, AnyReplicaCountIsBitIdenticalToDirectTransform) {
   for (const std::size_t replicas : {1u, 2u, 4u}) {
     RouterConfig config;
     config.replicas = replicas;
@@ -98,8 +99,39 @@ TEST_F(RouterTest, AnyReplicaCountIsBitIdenticalToASingleServer) {
     }
     const Router::Stats stats = router.stats();
     EXPECT_EQ(stats.batcher.requests, ds_.x.rows());
-    EXPECT_EQ(stats.per_replica.size(), replicas);
+    EXPECT_GE(stats.batcher.batches, 1u);
+    // One disk load per artifact, every later submission a cache hit.
+    EXPECT_EQ(stats.store.misses, 2u);
+    EXPECT_EQ(stats.store.hits, ds_.x.rows() - 2);
   }
+}
+
+TEST_F(RouterTest, EvaluateMatchesDirectModelEvaluate) {
+  auto model = api::Model::Load(path_a_);
+  ASSERT_TRUE(model.ok());
+  auto reference = model.value().Evaluate(ds_.x, ds_.labels);
+  ASSERT_TRUE(reference.ok());
+
+  Router router;
+  auto result = router.SubmitEvaluate(path_a_, ds_.x, ds_.labels).get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().clusters_found,
+            reference.value().clusters_found);
+  EXPECT_DOUBLE_EQ(result.value().metrics.accuracy,
+                   reference.value().metrics.accuracy);
+  EXPECT_DOUBLE_EQ(result.value().metrics.nmi,
+                   reference.value().metrics.nmi);
+}
+
+TEST_F(RouterTest, UnknownModelFailsFast) {
+  Router router;
+  auto missing =
+      router.Submit(::testing::TempDir() + "/nope.mcirbm", RowOf(ds_.x, 0));
+  ASSERT_EQ(missing.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  auto result = missing.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(RouterTest, RoutingIsDeterministicAcrossRouterInstances) {
@@ -149,6 +181,34 @@ TEST_F(RouterTest, ReloadSwapsTheArtifactForEveryReplica) {
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value().AllClose(RowOf(reference_b_, 0), 0));
   EXPECT_EQ(router.stats().store.reloads, 1u);
+}
+
+TEST_F(RouterTest, ReloadThenShutdownResolvesQueuedAndFreshExactlyOnce) {
+  // Hot swap racing shutdown: a request queued against the old instance,
+  // a Reload that swaps the artifact, a request on the new instance
+  // (sealing the old queue), then an immediate Shutdown. Both futures
+  // must resolve exactly once, each on the instance it was submitted
+  // against.
+  RouterConfig config;
+  config.batcher.max_batch_rows = 100;           // only Shutdown flushes
+  config.batcher.max_queue_micros = 60'000'000;
+  Router router(config);
+  auto queued = router.Submit(path_a_, RowOf(ds_.x, 0));
+  // Overwrite the artifact on disk with the differently-seeded model so
+  // the two instances are distinguishable by their outputs.
+  ASSERT_TRUE(TrainTiny(ds_.x, 77).Save(path_a_).ok());
+  ASSERT_TRUE(router.Reload(path_a_).ok());
+  auto fresh = router.Submit(path_a_, RowOf(ds_.x, 1));
+  router.Shutdown();
+  auto old_features = queued.get();
+  ASSERT_TRUE(old_features.ok()) << old_features.status().ToString();
+  EXPECT_TRUE(old_features.value().AllClose(RowOf(reference_a_, 0), 0));
+  auto new_features = fresh.get();
+  ASSERT_TRUE(new_features.ok()) << new_features.status().ToString();
+  EXPECT_TRUE(new_features.value().AllClose(RowOf(reference_b_, 1), 0));
+  const Router::Stats stats = router.stats();
+  EXPECT_EQ(stats.batcher.batches, 2u);
+  EXPECT_EQ(stats.batcher.swap_flushes, 1u);
 }
 
 TEST_F(RouterTest, GlobalInflightOverflowRejectsFastWithUnavailable) {
@@ -308,110 +368,99 @@ TEST(RouterStatsTest, MergeSumsCountersAndRecomputesMeansFromTotals) {
   EXPECT_DOUBLE_EQ(with_idle.MeanQueueMicros(), merged.MeanQueueMicros());
 }
 
-// The tentpole routing guarantee: per-key results under kLeastLoaded are
-// bit-identical to kKeyHash (and to the direct Model::Transform
-// reference) at every replica count — routing moves queueing around,
-// never results.
-TEST_F(RouterTest, LeastLoadedRoutingIsBitIdenticalToKeyHash) {
-  for (const std::size_t replicas : {1u, 2u, 4u}) {
+// TSan target: concurrent clients race the flusher threads at one and
+// at four replicas. Every result must stay bit-identical to the
+// reference.
+TEST_F(RouterTest, ConcurrentClientsGetBitIdenticalRows) {
+  for (const std::size_t replicas : {1u, 4u}) {
     RouterConfig config;
     config.replicas = replicas;
-    config.routing = RoutingMode::kLeastLoaded;
     config.batcher.max_batch_rows = 8;
     Router router(config);
-    std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
-    for (std::size_t r = 0; r < ds_.x.rows(); ++r) {
-      const std::string& key = (r % 2 == 0) ? path_a_ : path_b_;
-      futures.push_back(router.Submit(key, RowOf(ds_.x, r)));
+    constexpr int kClients = 4;
+    constexpr int kRounds = 3;
+    std::vector<std::thread> clients;
+    std::vector<int> mismatches(kClients, 0);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        // Clients 0 and 2 share model a, 1 and 3 share model b.
+        const std::string& key = (c % 2 == 0) ? path_a_ : path_b_;
+        const linalg::Matrix& reference =
+            (c % 2 == 0) ? reference_a_ : reference_b_;
+        for (int round = 0; round < kRounds; ++round) {
+          std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
+          for (std::size_t r = c; r < ds_.x.rows(); r += kClients) {
+            futures.push_back(router.Submit(key, RowOf(ds_.x, r)));
+          }
+          std::size_t r = c;
+          for (auto& future : futures) {
+            auto slice = future.get();
+            if (!slice.ok() ||
+                !slice.value().AllClose(RowOf(reference, r), 0)) {
+              ++mismatches[c];
+            }
+            r += kClients;
+          }
+        }
+      });
     }
-    for (std::size_t r = 0; r < futures.size(); ++r) {
-      auto slice = futures[r].get();
-      ASSERT_TRUE(slice.ok()) << slice.status().ToString();
-      const linalg::Matrix& reference =
-          (r % 2 == 0) ? reference_a_ : reference_b_;
-      EXPECT_TRUE(slice.value().AllClose(RowOf(reference, r), 0))
-          << "row " << r << " diverged at " << replicas
-          << " least-loaded replicas";
+    for (std::thread& client : clients) client.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(mismatches[c], 0) << "client " << c << " at " << replicas
+                                  << " replicas";
     }
-    const Router::Stats stats = router.stats();
-    EXPECT_EQ(stats.batcher.requests, ds_.x.rows());
+    EXPECT_EQ(router.stats().batcher.requests,
+              static_cast<std::uint64_t>(kClients * kRounds) *
+                  (ds_.x.rows() / kClients));
   }
 }
 
-TEST_F(RouterTest, LeastLoadedPinsBusyKeysAndSpreadsIdleOnes) {
+// A batch settles its rows out of the pending-rows gauge before it
+// completes any future. So once a client's last future for a key has
+// resolved, that key's serve_pending_rows gauge must already read 0 —
+// with no wait, at any replica. Each client owns one key; the four keys
+// cover both replicas.
+TEST_F(RouterTest, PendingRowsGaugeIsZeroOnceAKeysLastFutureResolves) {
   RouterConfig config;
   config.replicas = 2;
-  config.routing = RoutingMode::kLeastLoaded;
-  config.batcher.max_batch_rows = 100;           // nothing flushes by size
-  config.batcher.max_queue_micros = 60'000'000;  // nor by deadline
-  Router router(config);
-  router.store().Put("busy", TrainTiny(ds_.x, 33));
-  router.store().Put("idle", TrainTiny(ds_.x, 33));
-
-  // First submission for a key lands on its hash replica (all loads 0).
-  const std::size_t pinned = router.RouteFor("busy");
-  EXPECT_EQ(pinned, router.ReplicaFor("busy"));
-  auto held = router.Submit("busy", RowOf(ds_.x, 0));
-  // While its rows are queued, the key stays pinned even though its
-  // replica is now the MORE loaded one.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(router.RouteFor("busy"), pinned);
-  }
-  // An idle key avoids the loaded replica, whatever its hash says.
-  EXPECT_EQ(router.RouteFor("idle"), 1 - pinned);
-
-  router.Shutdown();  // flushes the held batch
-  auto features = held.get();
-  ASSERT_TRUE(features.ok()) << features.status().ToString();
-  EXPECT_TRUE(features.value().AllClose(RowOf(reference_a_, 0), 0));
-  // Drained, the pin expires: the key re-resolves by load again.
-  EXPECT_LT(router.RouteFor("busy"), 2u);
-}
-
-// TSan target: concurrent clients under kLeastLoaded — the routing table
-// and load gauges race with the flusher threads. Every result must stay
-// bit-identical to the reference.
-TEST_F(RouterTest, ConcurrentLeastLoadedStaysBitIdentical) {
-  RouterConfig config;
-  config.replicas = 4;
-  config.routing = RoutingMode::kLeastLoaded;
   config.batcher.max_batch_rows = 4;
-  config.batcher.max_queue_micros = 200;
   Router router(config);
   constexpr int kClients = 4;
-  constexpr int kPerClient = 40;
+  constexpr int kRounds = 20;
+  std::vector<std::string> keys;
+  std::vector<int> used(2, 0);
+  for (int c = 0; c < kClients; ++c) {
+    keys.push_back("client_" + std::to_string(c));
+    router.store().Put(keys.back(), TrainTiny(ds_.x, 33));
+    ++used[router.ReplicaFor(keys.back())];
+  }
+  ASSERT_GT(used[0], 0);
+  ASSERT_GT(used[1], 0);
   std::vector<std::thread> clients;
   std::vector<int> errors(kClients, 0);
+  std::vector<int> stale_gauges(kClients, 0);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
-      futures.reserve(kPerClient);
-      for (int i = 0; i < kPerClient; ++i) {
-        const std::size_t r =
-            static_cast<std::size_t>(c * kPerClient + i) % ds_.x.rows();
-        const std::string& key = (i % 2 == 0) ? path_a_ : path_b_;
-        futures.push_back(router.Submit(key, RowOf(ds_.x, r)));
-      }
-      for (int i = 0; i < kPerClient; ++i) {
-        const std::size_t r =
-            static_cast<std::size_t>(c * kPerClient + i) % ds_.x.rows();
-        auto result = futures[i].get();
-        if (!result.ok()) {
-          ++errors[c];
-          continue;
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
+        for (std::size_t r = 0; r < 10; ++r) {
+          futures.push_back(router.Submit(keys[c], RowOf(ds_.x, r)));
         }
-        const linalg::Matrix& reference =
-            (i % 2 == 0) ? reference_a_ : reference_b_;
-        if (!result.value().AllClose(RowOf(reference, r), 0)) ++errors[c];
+        for (auto& future : futures) {
+          if (!future.get().ok()) ++errors[c];
+        }
+        const obs::MetricsSnapshot snap = router.metrics_snapshot();
+        if (snap.gauges.at({"serve_pending_rows", keys[c]}) != 0.0) {
+          ++stale_gauges[c];
+        }
       }
     });
   }
   for (std::thread& client : clients) client.join();
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(errors[c], 0) << "client " << c;
+    EXPECT_EQ(stale_gauges[c], 0) << "client " << c;
   }
-  EXPECT_EQ(router.stats().batcher.requests,
-            static_cast<std::uint64_t>(kClients) * kPerClient);
 }
 
 TEST_F(RouterTest, MetricsSnapshotMergesReplicasAndStoreOnce) {

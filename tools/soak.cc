@@ -71,7 +71,6 @@ struct SoakOptions {
   int seed = 42;
   // In-process service shape (ignored with --connect).
   int replicas = 2;
-  std::string routing = "least_loaded";
   int max_pending = 4;
   int max_inflight = 0;
   int trace_sample = 4;
@@ -87,8 +86,8 @@ struct SoakOptions {
 int Usage() {
   std::cerr
       << "usage: mcirbm_soak [--duration-seconds N] [--threads N]\n"
-         "                   [--replicas N] [--routing key_hash|least_loaded]\n"
-         "                   [--max-pending ROWS] [--max-inflight N]\n"
+         "                   [--replicas N] [--max-pending ROWS]\n"
+         "                   [--max-inflight N]\n"
          "                   [--trace-sample N] [--trace-jsonl <path>]\n"
          "                   [--connect HOST:PORT] [--expect-rejections 0|1]\n"
          "                   [--seed N]\n";
@@ -136,7 +135,6 @@ bool ParseFlags(int argc, char** argv, SoakOptions* options) {
       !take_int("expect-rejections", &options->expect_rejections)) {
     return false;
   }
-  take_string("routing", &options->routing);
   take_string("trace-jsonl", &options->trace_jsonl);
   take_string("connect", &connect);
   if (!connect.empty()) {
@@ -156,9 +154,7 @@ bool ParseFlags(int argc, char** argv, SoakOptions* options) {
   }
   return options->duration_seconds >= 1 && options->threads >= 1 &&
          options->replicas >= 1 && options->max_pending >= 0 &&
-         options->max_inflight >= 0 && options->trace_sample >= 0 &&
-         (options->routing == "key_hash" ||
-          options->routing == "least_loaded");
+         options->max_inflight >= 0 && options->trace_sample >= 0;
 }
 
 // Pulls `key=value`'s value out of a response line ("" when absent).
@@ -396,9 +392,6 @@ class Soak {
       serve::RouterConfig router_config;
       router_config.replicas =
           static_cast<std::size_t>(options_.replicas);
-      router_config.routing = options_.routing == "least_loaded"
-                                  ? serve::RoutingMode::kLeastLoaded
-                                  : serve::RoutingMode::kKeyHash;
       router_config.batcher.max_pending_rows =
           static_cast<std::size_t>(options_.max_pending);
       router_config.max_inflight_requests =
