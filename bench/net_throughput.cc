@@ -10,8 +10,8 @@
 // the server's own net_request_micros histogram — parsed out of an
 // op=stats response over the wire, so the bench measures the production
 // metrics path, not a bench-only latency vector. Mean queue/exec/format
-// span micros ride along the same way, parsed from an op=trace probe
-// against the in-process server's 1-in-16 sampled traces. A fourth kernel
+// span micros ride along the same way in in-process mode, parsed from an
+// op=trace probe against the server's 1-in-16 sampled traces. A fourth kernel
 // (net_transform8) sends real chunked transform requests against a
 // trained encoder instead of stats probes, putting actual inference
 // behind every response.
@@ -22,8 +22,10 @@
 //   - MCIRBM_BENCH_NET_CONNECT=host:port — hammer an external server
 //     (e.g. `mcirbm_cli serve --listen`) instead. The transform kernel
 //     is skipped unless MCIRBM_BENCH_NET_REQUEST supplies a request
-//     line whose model/data paths exist server-side, and quantiles are
-//     cumulative over the server's lifetime.
+//     line whose model/data paths exist server-side, quantiles are
+//     cumulative over the server's lifetime, and no op=trace probe is
+//     sent (the server may run without --trace-sample, and a refused
+//     probe would count as a failed request).
 //
 // Output is the same JSON shape as bench/parallel_scaling.cc, with the
 // connection count in the "threads" slot of each result.
@@ -69,9 +71,8 @@ struct Result {
   double p95_micros = 0;
   double p99_micros = 0;
   // Mean per-span breakdown parsed from an op=trace probe after the
-  // timed pass — where a request's wall time actually went. Zero when
-  // the target server has tracing off (external mode without
-  // --trace-sample).
+  // timed pass — where a request's wall time actually went. Zero in
+  // external mode, which sends no trace probe.
   double span_queue_micros = 0;
   double span_exec_micros = 0;
   double span_format_micros = 0;
@@ -162,8 +163,8 @@ void FillQuantiles(const std::string& host, int port, Result* result) {
 }
 
 // Where the wall time went: one op=trace round trip, mean span
-// durations by name parsed from the trace payload. An error response
-// (external server with tracing off) leaves the means at zero.
+// durations by name parsed from the trace payload. Sent only to the
+// in-process server, which samples traces itself.
 void FillSpanMeans(const std::string& host, int port, Result* result) {
   auto connected = net::Client::Connect(host, port);
   if (!connected.ok()) std::abort();
@@ -255,7 +256,7 @@ Result Measure(const std::string& connect_host, int connect_port,
       result.seconds = seconds;
       result.rps = static_cast<double>(requests) / seconds;
       FillQuantiles(host, port, &result);
-      FillSpanMeans(host, port, &result);
+      if (connect_port == 0) FillSpanMeans(host, port, &result);
     }
     if (connect_port == 0) local.Stop();
   }

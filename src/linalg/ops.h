@@ -5,18 +5,30 @@
 // All four are wrappers over one packed, register-blocked kernel (Goto &
 // van de Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM
 // TOMS 2008): each shard of C packs zero-padded panels of both operands and
-// runs a 2x8 tile of scalar accumulators that g++ auto-vectorizes to SSE2.
+// runs a 2x8 tile of scalar accumulators that the compiler vectorizes.
 //
 // Per-element order contract: every C(i,j) starts from its initial value
 // (0, or `out` for AccumulateGemmTransA) and adds a(i,p)·b(p,j) for
 // p = 0..k-1 in ascending order into one accumulator; the accumulating
 // variant multiplies alpha into a(i,p) first. That sequence depends only on
-// row i of A and column j of B — never on the matrix shape, tile, shard or
-// thread count — so results are bit-identical at any pool width, and a row
-// of A·B computed on a row subset of A equals the same row of the full
-// product (serve's row-independence rests on this). Splitting k across
-// accumulators, FMA contraction, -ffast-math or -march would each change
-// bits, so none is used.
+// row i of A and column j of B — never on the matrix shape, tile, shard,
+// thread count or CPU — so results are bit-identical at any pool width and
+// on any host, and a row of A·B computed on a row subset of A equals the
+// same row of the full product (serve's row-independence rests on this).
+//
+// Two copies of the kernel's shard loop are compiled from one source: the
+// baseline build (SSE2 on x86-64, two doubles per register) and, on x86-64
+// GCC/Clang, a build with exactly the "avx2" target (four doubles per
+// register). The first GEMM of a process picks the AVX2 copy if the CPU
+// has AVX2, else the baseline; no option, variable or flag selects it.
+// The wider copy only puts more of the independent per-element
+// accumulators in one register: each lane still does one IEEE multiply and
+// one IEEE add in the same order, so both copies return the same bytes
+// (tests/linalg/ops_test.cc holds each copy to a naive reference). What
+// would change bits stays out of the build: FMA rounds a product and sum
+// once instead of twice (and "fma" or -march=x86-64-v3/native enable it),
+// -ffast-math reassociates sums, and splitting k across accumulators
+// reorders them. CI fails if libmcirbm_linalg.a holds an FMA instruction.
 #ifndef MCIRBM_LINALG_OPS_H_
 #define MCIRBM_LINALG_OPS_H_
 

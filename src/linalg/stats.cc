@@ -67,13 +67,17 @@ double StdDev(const std::vector<double>& xs) {
 double Percentile(std::vector<double> xs, double p) {
   MCIRBM_CHECK(!xs.empty());
   MCIRBM_CHECK(p >= 0 && p <= 100);
-  std::sort(xs.begin(), xs.end());
   if (xs.size() == 1) return xs[0];
   const double pos = p / 100.0 * static_cast<double>(xs.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1 - frac) + xs[hi] * frac;
+  // The lo-th and (lo+1)-th order statistics without a full sort: select
+  // the first, and the second is the smallest of what lies above it.
+  const auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), lo_it, xs.end());
+  const double x_hi =
+      lo + 1 < xs.size() ? *std::min_element(lo_it + 1, xs.end()) : *lo_it;
+  return *lo_it * (1 - frac) + x_hi * frac;
 }
 
 }  // namespace mcirbm::linalg

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "linalg/ops_internal.h"
 #include "rng/rng.h"
 
 namespace mcirbm::linalg {
@@ -92,41 +93,66 @@ TEST(GemmTest, ZeroRowYieldsPositiveZero) {
   }
 }
 
-// Property sweep: every GEMM variant is bit-identical to the naive
-// reference across shapes that straddle the 2x8 register tile, the 32x32
-// shard block and the 256-deep k slice (thin, wide, and ragged edges).
+using internal::GemmBuild;
+
+// The public variants run the AVX2 copy of the kernel exactly when the CPU
+// can run it.
+TEST(GemmBuildTest, SelectsAvx2WhenTheCpuRunsIt) {
+  EXPECT_TRUE(internal::GemmBuildRuns(GemmBuild::kBaseline));
+  EXPECT_EQ(internal::SelectedGemmBuild(),
+            internal::GemmBuildRuns(GemmBuild::kAvx2) ? GemmBuild::kAvx2
+                                                      : GemmBuild::kBaseline);
+}
+
+// Property sweep: every GEMM variant, through every compiled copy of the
+// kernel, is bit-identical to the naive reference across shapes that
+// straddle the 2x8 register tile, the 32x32 shard block and the 256-deep
+// k slice (thin, wide, and ragged edges).
 class GemmShapeTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<GemmBuild, std::tuple<int, int, int>>> {
+ protected:
+  void SetUp() override {
+    if (!internal::GemmBuildRuns(build())) {
+      GTEST_SKIP() << "no AVX2 copy of the kernel runs here (not x86-64, "
+                      "or the CPU lacks AVX2)";
+    }
+  }
+  GemmBuild build() const { return std::get<0>(GetParam()); }
+  std::tuple<int, int, int> shape() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(GemmShapeTest, MatchesNaiveReference) {
-  const auto [m, k, n] = GetParam();
+  const auto [m, k, n] = shape();
   rng::Rng rng(1000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(k, n, &rng);
-  EXPECT_TRUE(SameBits(Gemm(a, b), NaiveGemm(a, b)));
+  EXPECT_TRUE(SameBits(internal::Gemm(build(), a, b), NaiveGemm(a, b)));
 }
 
 TEST_P(GemmShapeTest, TransAMatchesExplicitTranspose) {
-  const auto [m, k, n] = GetParam();
+  const auto [m, k, n] = shape();
   rng::Rng rng(2000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(k, m, &rng);  // will be transposed
   Matrix b = RandomMatrix(k, n, &rng);
-  EXPECT_TRUE(SameBits(GemmTransA(a, b), NaiveGemm(a.Transposed(), b)));
+  EXPECT_TRUE(SameBits(internal::GemmTransA(build(), a, b),
+                       NaiveGemm(a.Transposed(), b)));
 }
 
 TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
-  const auto [m, k, n] = GetParam();
+  const auto [m, k, n] = shape();
   rng::Rng rng(3000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(n, k, &rng);  // will be transposed
-  EXPECT_TRUE(SameBits(GemmTransB(a, b), NaiveGemm(a, b.Transposed())));
+  EXPECT_TRUE(SameBits(internal::GemmTransB(build(), a, b),
+                       NaiveGemm(a, b.Transposed())));
 }
 
 // The gradient form: out += alpha·Aᵀ·B with a non-zero `out`, a negative
 // alpha and a 0/1 B (sampled hidden states). alpha scales A's entry before
 // the product, and each element continues from its `out` value.
 TEST_P(GemmShapeTest, AccumulateTransAMatchesReference) {
-  const auto [m, k, n] = GetParam();
+  const auto [m, k, n] = shape();
   rng::Rng rng(4000 + m * 97 + k * 13 + n);
   const double alpha = -0.37;
   Matrix a = RandomMatrix(k, m, &rng);
@@ -143,23 +169,39 @@ TEST_P(GemmShapeTest, AccumulateTransAMatchesReference) {
       expected(i, j) = s;
     }
   }
-  AccumulateGemmTransA(alpha, a, b, &out);
+  internal::AccumulateGemmTransA(build(), alpha, a, b, &out);
   EXPECT_TRUE(SameBits(out, expected));
+}
+
+// "Avx2_33x255x31": the kernel copy, then m x k x n.
+std::string GemmShapeName(
+    const ::testing::TestParamInfo<GemmShapeTest::ParamType>& info) {
+  const auto [m, k, n] = std::get<1>(info.param);
+  return std::string(std::get<0>(info.param) == GemmBuild::kAvx2
+                         ? "Avx2"
+                         : "Baseline") +
+         "_" + std::to_string(m) + "x" + std::to_string(k) + "x" +
+         std::to_string(n);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmShapeTest,
-    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
-                      std::make_tuple(7, 64, 9), std::make_tuple(65, 3, 64),
-                      std::make_tuple(64, 64, 64),
-                      std::make_tuple(100, 17, 65),
-                      std::make_tuple(2, 129, 1), std::make_tuple(2, 7, 8),
-                      std::make_tuple(1, 9, 7), std::make_tuple(31, 33, 33),
-                      std::make_tuple(33, 255, 31),
-                      std::make_tuple(32, 256, 32),
-                      std::make_tuple(34, 257, 40),
-                      std::make_tuple(130, 97, 53),
-                      std::make_tuple(9, 600, 17)));
+    ::testing::Combine(
+        ::testing::Values(GemmBuild::kBaseline, GemmBuild::kAvx2),
+        ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
+                          std::make_tuple(7, 64, 9),
+                          std::make_tuple(65, 3, 64),
+                          std::make_tuple(64, 64, 64),
+                          std::make_tuple(100, 17, 65),
+                          std::make_tuple(2, 129, 1),
+                          std::make_tuple(2, 7, 8), std::make_tuple(1, 9, 7),
+                          std::make_tuple(31, 33, 33),
+                          std::make_tuple(33, 255, 31),
+                          std::make_tuple(32, 256, 32),
+                          std::make_tuple(34, 257, 40),
+                          std::make_tuple(130, 97, 53),
+                          std::make_tuple(9, 600, 17))),
+    GemmShapeName);
 
 TEST(AccumulateGemmTransATest, AddsScaledProduct) {
   rng::Rng rng(4);

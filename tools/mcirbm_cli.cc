@@ -24,12 +24,12 @@
 // form. CSV means numeric feature columns with a trailing integer label
 // column (header row required), as written by `synth` / data/io.h.
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   mcirbm_cli synth --family msra --index 8 --out vt.csv
 //   mcirbm_cli dataset convert --in vt.csv --out vt.bin
-//   mcirbm_cli train --data vt.bin --model sls-grbm --standardize \
+//   mcirbm_cli train --data vt.bin --model sls-grbm --standardize
 //       --out vt_model.txt
-//   mcirbm_cli eval --data vt.bin --model-file vt_model.txt \
+//   mcirbm_cli eval --data vt.bin --model-file vt_model.txt
 //       --standardize --clusterer kmeans
 //   mcirbm_cli pipeline --config run.cfg
 #include <fcntl.h>
