@@ -27,7 +27,7 @@
 //     sent (the server may run without --trace-sample, and a refused
 //     probe would count as a failed request).
 //
-// Output is the same JSON shape as bench/parallel_scaling.cc, with the
+// Output is the same JSON shape as bench/serve_throughput.cc, with the
 // connection count in the "threads" slot of each result.
 //
 // Environment knobs:

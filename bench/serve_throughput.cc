@@ -19,13 +19,12 @@
 // multi-key traffic even at pool width 1: rps vs replicas at a fixed
 // pool width is the number to watch.
 //
-// Output is the same JSON shape as bench/parallel_scaling.cc — a
-// top-level {"hardware_threads", "kernels": [{"name", "n", "results":
-// [{"threads", "seconds", "speedup", ...}]}]} document — with serving
-// extras (rps, p50/p95/p99 queue micros, mean batch rows, and mean
-// queue/exec span micros from 1-in-16 sampled traces) on each result, so
-// CI uploads it alongside the scaling artifact and trajectory tooling
-// can parse both with one reader. The serving win to look for: at
+// Output is a JSON document of the shape {"hardware_threads", "kernels":
+// [{"name", "n", "results": [{"threads", "seconds", "speedup", ...}]}]},
+// with serving extras (rps, p50/p95/p99 queue micros, mean batch rows,
+// and mean queue/exec span micros from 1-in-16 sampled traces) on each
+// result; bench_net_throughput emits the same shape, so one reader parses
+// both. The serving win to look for: at
 // MCIRBM_THREADS >= 2, the serve_batch8/32/128 kernels should beat
 // serve_batch1 (unbatched) on rps.
 //

@@ -26,7 +26,8 @@ int main() {
 
   // 3. Configure and train the encoder (slsGRBM) with the calibrated
   //    paper hyper-parameters (η=0.4, lr=1e-4, Section V.B; width/epochs/
-  //    scale from EXPERIMENTS.md). Everything fallible returns StatusOr.
+  //    scale from eval::MakePaperConfig). Everything fallible returns
+  //    StatusOr.
   const eval::ExperimentConfig paper = eval::MakePaperConfig(true);
   core::PipelineConfig config;
   config.model = core::ModelKind::kSlsGrbm;

@@ -56,7 +56,8 @@ struct SlsConfig {
   /// Normalize the constriction sum by the ordered-pair count Σ N_k(N_k−1)
   /// (true, default — keeps constrict and disperse on a comparable
   /// per-pair scale) or by the credible-instance count Nh (false — the
-  /// literal Eq. 13, reproduced for the ablation bench). See DESIGN.md.
+  /// literal Eq. 13, reproduced for the ablation bench; it collapses the
+  /// hidden space, see SlsGradientOptions::normalize_by_pairs).
   bool normalize_by_pairs = true;
 
   /// Use the O(N·d) algebraically reduced gradient (true) or the literal

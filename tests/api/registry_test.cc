@@ -153,32 +153,6 @@ TEST(VoterSpecTest, ParseVoterListHandlesCountsAndErrors) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(VoterSpecTest, SpecsMatchDeprecatedFlagShimExactly) {
-  data::GaussianMixtureSpec spec;
-  spec.name = "shim";
-  spec.num_classes = 2;
-  spec.num_instances = 60;
-  spec.num_features = 5;
-  spec.separation = 5.0;
-  const data::Dataset ds = data::GenerateGaussianMixture(spec, 9);
-
-  // Deprecated bool-flag form (dp + kmeans×2 + ap).
-  core::SupervisionConfig flags;
-  flags.num_clusters = 2;
-  flags.kmeans_voters = 2;
-
-  // Equivalent registry voter-spec form.
-  core::SupervisionConfig specs = flags;
-  specs.voters = {{"dp", {}, 1}, {"kmeans", {}, 2}, {"ap", {}, 1}};
-
-  const auto from_flags =
-      core::ComputeSelfLearningSupervision(ds.x, flags, 17);
-  const auto from_specs =
-      core::ComputeSelfLearningSupervision(ds.x, specs, 17);
-  EXPECT_EQ(from_flags.cluster_of, from_specs.cluster_of);
-  EXPECT_EQ(from_flags.num_clusters, from_specs.num_clusters);
-}
-
 TEST(VoterSpecTest, EmptyVoterSetIsInvalidArgument) {
   data::GaussianMixtureSpec spec;
   spec.name = "none";
@@ -189,9 +163,7 @@ TEST(VoterSpecTest, EmptyVoterSetIsInvalidArgument) {
   const data::Dataset ds = data::GenerateGaussianMixture(spec, 1);
   core::SupervisionConfig config;
   config.num_clusters = 2;
-  config.use_density_peaks = false;
-  config.use_kmeans = false;
-  config.use_affinity_propagation = false;
+  config.voters = {};
   auto sup = core::TryComputeSelfLearningSupervision(ds.x, config, 1);
   ASSERT_FALSE(sup.ok());
   EXPECT_EQ(sup.status().code(), StatusCode::kInvalidArgument);

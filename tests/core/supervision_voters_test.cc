@@ -1,6 +1,6 @@
-// Tests for SupervisionConfig::kmeans_voters — additional independently
-// seeded K-means members in the multi-clustering integration. More voters
-// make the unanimous vote stricter, trading coverage for precision.
+// Tests for repeated K-means members (VoterSpec::count) in the
+// multi-clustering integration. More independently seeded voters make the
+// unanimous vote stricter, trading coverage for precision.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
@@ -25,14 +25,20 @@ data::Dataset NoisyMixture(std::uint64_t seed) {
   return ds;
 }
 
+// The paper's DP/K-means/AP trio with `kmeans` K-means repeats.
+SupervisionConfig TrioWithKmeans(int kmeans) {
+  SupervisionConfig cfg;
+  cfg.num_clusters = 3;
+  cfg.voters = {{"dp", {}, 1}, {"kmeans", {}, kmeans}, {"ap", {}, 1}};
+  return cfg;
+}
+
 TEST(SupervisionVotersTest, MoreVotersNeverRaiseCoverage) {
   const data::Dataset ds = NoisyMixture(3);
   double prev_coverage = 1.1;
   for (const int voters : {1, 3, 6}) {
-    SupervisionConfig cfg;
-    cfg.num_clusters = 3;
-    cfg.kmeans_voters = voters;
-    const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 5);
+    const auto sup =
+        ComputeSelfLearningSupervision(ds.x, TrioWithKmeans(voters), 5);
     EXPECT_LE(sup.Coverage(), prev_coverage + 1e-12)
         << voters << " voters";
     prev_coverage = sup.Coverage();
@@ -46,10 +52,8 @@ TEST(SupervisionVotersTest, StricterVoteDoesNotLowerPrecision) {
   // retained set changes, so exact monotonicity is not guaranteed.
   const data::Dataset ds = NoisyMixture(4);
   auto precision_with = [&](int voters) {
-    SupervisionConfig cfg;
-    cfg.num_clusters = 3;
-    cfg.kmeans_voters = voters;
-    const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 5);
+    const auto sup =
+        ComputeSelfLearningSupervision(ds.x, TrioWithKmeans(voters), 5);
     std::vector<int> truth, pred;
     for (std::size_t i = 0; i < sup.cluster_of.size(); ++i) {
       if (sup.cluster_of[i] >= 0) {
@@ -65,35 +69,21 @@ TEST(SupervisionVotersTest, StricterVoteDoesNotLowerPrecision) {
 
 TEST(SupervisionVotersTest, DeterministicGivenSeed) {
   const data::Dataset ds = NoisyMixture(6);
-  SupervisionConfig cfg;
-  cfg.num_clusters = 3;
-  cfg.kmeans_voters = 3;
+  const SupervisionConfig cfg = TrioWithKmeans(3);
   const auto a = ComputeSelfLearningSupervision(ds.x, cfg, 9);
   const auto b = ComputeSelfLearningSupervision(ds.x, cfg, 9);
   EXPECT_EQ(a.cluster_of, b.cluster_of);
   EXPECT_EQ(a.num_clusters, b.num_clusters);
 }
 
-TEST(SupervisionVotersTest, VotersUseDistinctSeeds) {
-  // With K-means disabled the voters knob must be irrelevant.
-  const data::Dataset ds = NoisyMixture(8);
-  SupervisionConfig no_km;
-  no_km.num_clusters = 3;
-  no_km.use_kmeans = false;
-  no_km.kmeans_voters = 4;
-  SupervisionConfig no_km_single = no_km;
-  no_km_single.kmeans_voters = 1;
-  const auto a = ComputeSelfLearningSupervision(ds.x, no_km, 2);
-  const auto b = ComputeSelfLearningSupervision(ds.x, no_km_single, 2);
-  EXPECT_EQ(a.cluster_of, b.cluster_of);
-}
-
-TEST(SupervisionVotersDeathTest, ZeroVotersAborts) {
+TEST(SupervisionVotersTest, ZeroCountIsInvalidArgument) {
   const data::Dataset ds = NoisyMixture(1);
   SupervisionConfig cfg;
   cfg.num_clusters = 3;
-  cfg.kmeans_voters = 0;
-  EXPECT_DEATH(ComputeSelfLearningSupervision(ds.x, cfg, 1), "kmeans_voters");
+  cfg.voters = {{"kmeans", {}, 0}};
+  const auto sup = TryComputeSelfLearningSupervision(ds.x, cfg, 1);
+  ASSERT_FALSE(sup.ok());
+  EXPECT_EQ(sup.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
