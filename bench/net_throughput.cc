@@ -50,7 +50,6 @@
 #include "data/synthetic.h"
 #include "net/net.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "serve/serve.h"
 #include "util/timer.h"
 
@@ -287,7 +286,6 @@ void EmitKernel(const std::string& name, std::size_t n,
 }  // namespace
 
 int main() {
-  parallel::SetDeterministic(true);
   const std::size_t requests =
       static_cast<std::size_t>(EnvInt("MCIRBM_BENCH_NET_REQUESTS", 1000));
   const int reps = std::max(1, EnvInt("MCIRBM_BENCH_NET_REPS", 2));

@@ -226,7 +226,6 @@ void EmitKernel(const std::string& name, std::size_t n,
 }  // namespace
 
 int main() {
-  parallel::SetDeterministic(true);
   const std::size_t requests = EnvInt("MCIRBM_BENCH_SERVE_REQUESTS", 1000);
   const int clients = std::max(1, EnvInt("MCIRBM_BENCH_SERVE_CLIENTS", 2));
   const int reps = std::max(1, EnvInt("MCIRBM_BENCH_SERVE_REPS", 2));

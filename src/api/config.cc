@@ -149,8 +149,6 @@ Status ApplyConfigKey(const ConfigEntry& e, core::PipelineConfig* config) {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.disperse_weight, ValueAsDouble(e));
   } else if (key == "sls.normalize_by_pairs") {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.normalize_by_pairs, ValueAsBool(e));
-  } else if (key == "sls.use_fast_gradient") {
-    MCIRBM_ASSIGN_OR_RETURN(config->sls.use_fast_gradient, ValueAsBool(e));
   } else if (key == "sls.max_grad_norm") {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.max_grad_norm, ValueAsDouble(e));
   } else if (key == "supervision.clusters") {
@@ -173,8 +171,11 @@ Status ApplyConfigKey(const ConfigEntry& e, core::PipelineConfig* config) {
     config->supervision.voters = std::move(voters).value();
   } else if (key == "parallel.threads") {
     MCIRBM_ASSIGN_OR_RETURN(config->parallel.num_threads, ValueAsInt(e));
-  } else if (key == "parallel.deterministic") {
-    MCIRBM_ASSIGN_OR_RETURN(config->parallel.deterministic, ValueAsBool(e));
+    if (config->parallel.num_threads < 0) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(e.line) +
+          ": parallel.threads must be non-negative");
+    }
   } else {
     return Status::NotFound("line " + std::to_string(e.line) +
                             ": unknown config key '" + key + "'");

@@ -15,11 +15,10 @@
 //   rbm.pcd_chains rbm.sparsity_target rbm.sparsity_cost
 //   rbm.weight_init (gaussian|pca) rbm.seed
 //   sls.eta sls.scale sls.include_recon_term sls.include_disperse_term
-//   sls.disperse_weight sls.normalize_by_pairs sls.use_fast_gradient
-//   sls.max_grad_norm
+//   sls.disperse_weight sls.normalize_by_pairs sls.max_grad_norm
 //   supervision.clusters supervision.strategy (unanimous|majority)
 //   supervision.min_cluster_size supervision.voters (e.g. "dp,kmeans*3,ap")
-//   parallel.threads parallel.deterministic
+//   parallel.threads (0 keeps the current pool)
 //
 // Additional run keys (ParsePipelineSpec):
 //   data (loader spec: path | csv:p | bin:p | libsvm:p | synth:fam:i[:seed])

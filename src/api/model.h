@@ -96,9 +96,9 @@ class Model {
   /// Trains by streaming minibatches from `source` — the out-of-core
   /// path. Requires random row access (mmap/in-memory backends; convert
   /// text formats with `mcirbm_cli dataset convert`). Bit-identical to
-  /// Train on the materialized rows at any thread count, in both
-  /// determinism modes. Sls models and PCA init need the matrix resident
-  /// and fail with kInvalidArgument on non-dense sources.
+  /// Train on the materialized rows at any thread count. Sls models and
+  /// PCA init need the matrix resident and fail with kInvalidArgument on
+  /// non-dense sources.
   static StatusOr<Model> TrainFromSource(const data::DataSource& source,
                                          const core::PipelineConfig& config,
                                          std::uint64_t seed);

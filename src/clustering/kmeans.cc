@@ -134,28 +134,7 @@ ClusteringResult KMeans::Cluster(const linalg::Matrix& x,
                                  std::uint64_t seed) const {
   MCIRBM_CHECK_GE(x.rows(), static_cast<std::size_t>(config_.k))
       << "fewer instances than clusters";
-  const std::uint64_t stream_seed = seed ^ 0x6b6d65616e73ULL;  // "kmeans"
-  if (!parallel::Deterministic() && config_.restarts > 1 &&
-      !parallel::InParallelRegion()) {
-    // Opt-in fast path: restarts fan out on independent ShardRng
-    // substreams. Reproducible for a fixed seed (streams and the best-of
-    // selection depend only on (seed, restart index)) but not identical
-    // to the serial Split() stream below.
-    std::vector<ClusteringResult> candidates(config_.restarts);
-    parallel::ParallelFor(
-        config_.restarts, 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            rng::Rng run_rng = parallel::ShardRng(stream_seed, r);
-            candidates[r] = RunOnce(x, config_, &run_rng);
-          }
-        });
-    std::size_t best_r = 0;
-    for (std::size_t r = 1; r < candidates.size(); ++r) {
-      if (candidates[r].objective < candidates[best_r].objective) best_r = r;
-    }
-    return std::move(candidates[best_r]);
-  }
-  rng::Rng rng(stream_seed);
+  rng::Rng rng(seed ^ 0x6b6d65616e73ULL);  // "kmeans"
   ClusteringResult best;
   best.objective = std::numeric_limits<double>::max();
   for (int r = 0; r < config_.restarts; ++r) {

@@ -139,7 +139,6 @@ void ApplyParallelConfig(const ParallelConfig& config) {
       !parallel::InParallelRegion()) {
     parallel::SetNumThreads(config.num_threads);
   }
-  parallel::SetDeterministic(config.deterministic);
 }
 
 namespace {

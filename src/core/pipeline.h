@@ -91,8 +91,8 @@ struct PipelineConfig {
 };
 
 /// Applies the execution-engine settings to the global thread pool:
-/// resizes it when num_threads > 0 and records the determinism mode.
-/// Idempotent; called by RunEncoderPipeline and the experiment harness.
+/// resizes it when num_threads > 0. Idempotent; called by
+/// RunEncoderPipeline and the experiment harness.
 void ApplyParallelConfig(const ParallelConfig& config);
 
 /// Result of running the pipeline on one dataset.

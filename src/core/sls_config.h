@@ -2,27 +2,15 @@
 #ifndef MCIRBM_CORE_SLS_CONFIG_H_
 #define MCIRBM_CORE_SLS_CONFIG_H_
 
-#include "parallel/thread_pool.h"
-
 namespace mcirbm::core {
 
 /// Execution-engine knobs plumbed through the pipeline/experiment configs
-/// into src/parallel/ (see ApplyParallelConfig in core/pipeline.h).
+/// into src/parallel/ (see ApplyParallelConfig in core/pipeline.h). Every
+/// kernel is bit-identical to the serial reference at any thread count.
 struct ParallelConfig {
   /// Worker threads for the global pool. 0 keeps the current global
   /// setting (MCIRBM_THREADS env var, else hardware concurrency).
   int num_threads = 0;
-
-  /// When true (default) every parallel kernel partitions work into
-  /// shards whose boundaries are independent of the thread count, so
-  /// results are bit-identical serial vs parallel. When false, kernels
-  /// may trade the fixed serial-reference schedule for faster ones that
-  /// are still reproducible for a fixed seed (e.g. parallel k-means
-  /// restarts, or CD-1 hidden-state sampling batched onto independent
-  /// ShardRng substreams). Defaults to the process-wide mode so the
-  /// MCIRBM_DETERMINISTIC environment variable reaches pipelines whose
-  /// callers never touch this field.
-  bool deterministic = parallel::DefaultDeterministic();
 };
 
 /// Hyper-parameters of the constrict/disperse supervision terms (Eq. 13).
@@ -59,12 +47,6 @@ struct SlsConfig {
   /// literal Eq. 13, reproduced for the ablation bench; it collapses the
   /// hidden space, see SlsGradientOptions::normalize_by_pairs).
   bool normalize_by_pairs = true;
-
-  /// Use the O(N·d) algebraically reduced gradient (true) or the literal
-  /// O(N²·d) pairwise form (false). Both produce identical values (see
-  /// tests/core/sls_gradient_test.cc); the naive path exists as the
-  /// executable specification of Eq. 27/28/31/32.
-  bool use_fast_gradient = true;
 
   /// Trust-region cap on the Frobenius norm of the (already scaled)
   /// supervision gradient per update; 0 disables. With the paper's ε-free

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <string>
 
 #include "util/check.h"
 
@@ -184,37 +183,7 @@ void SetNumThreads(int num_threads) {
 
 bool InParallelRegion() { return tls_in_parallel_region; }
 
-namespace {
-
-// Resolves the process-default determinism mode once: MCIRBM_DETERMINISTIC
-// set to 0/false/off opts the whole process into the fast schedules.
-bool ResolveDeterministicEnv() {
-  const char* env = std::getenv("MCIRBM_DETERMINISTIC");
-  if (!env) return true;
-  const std::string v(env);
-  return !(v == "0" || v == "false" || v == "off" || v == "no");
-}
-
-}  // namespace
-
-bool DefaultDeterministic() {
-  static const bool kDefault = ResolveDeterministicEnv();
-  return kDefault;
-}
-
-namespace {
-// Live flag, seeded from the single env resolution point above so the
-// default and the initial live value cannot diverge.
-std::atomic<bool> g_deterministic{DefaultDeterministic()};
-}  // namespace
-
-bool Deterministic() {
-  return g_deterministic.load(std::memory_order_relaxed);
-}
-
-void SetDeterministic(bool deterministic) {
-  g_deterministic.store(deterministic, std::memory_order_relaxed);
-}
+bool Deterministic() { return true; }
 
 void ParallelFor(std::size_t n, std::size_t grain,
                  const std::function<void(std::size_t, std::size_t)>& fn) {

@@ -99,19 +99,9 @@ void SetNumThreads(int num_threads);
 /// nested ParallelFor/ShardedReduce calls then run inline and serially.
 bool InParallelRegion();
 
-/// Global determinism mode (default true): every kernel reproduces the
-/// serial reference bit for bit. When false, kernels may choose faster
-/// schedules that are still reproducible for a fixed seed but not
-/// identical to the serial stream (e.g. k-means restarts fanned out on
-/// independent ShardRng substreams).
+/// Always true: every kernel reproduces the serial reference bit for bit
+/// at any thread count. Kept only because perfbench reports it.
 bool Deterministic();
-void SetDeterministic(bool deterministic);
-
-/// Process-default determinism mode: true unless the MCIRBM_DETERMINISTIC
-/// environment variable is set to 0/false/off/no. Config structs that
-/// carry a `deterministic` field default to this value so an environment
-/// override survives ApplyParallelConfig.
-bool DefaultDeterministic();
 
 /// Splits [0, n) into ceil(n/grain) fixed-size shards and runs
 /// fn(begin, end) for each. Shard boundaries depend only on (n, grain), so

@@ -200,21 +200,6 @@ void RbmBase::SampleBernoulliInPlace(linalg::Matrix* probs,
   }
 }
 
-void RbmBase::SampleBernoulliSharded(linalg::Matrix* probs,
-                                     std::uint64_t stream) const {
-  const std::size_t cols = probs->cols();
-  parallel::ParallelFor(
-      probs->rows(), kRowGrain, [&](std::size_t begin, std::size_t end) {
-        rng::Rng rng = parallel::ShardRng(stream, begin / kRowGrain);
-        for (std::size_t i = begin; i < end; ++i) {
-          double* row = probs->data() + i * cols;
-          for (std::size_t j = 0; j < cols; ++j) {
-            row[j] = rng.Bernoulli(row[j]) ? 1.0 : 0.0;
-          }
-        }
-      });
-}
-
 std::vector<EpochStats> RbmBase::Train(const linalg::Matrix& data) {
   const MatrixTrainingSource source(data);
   auto history = TrainImpl(source, /*prefetch=*/false);
@@ -242,27 +227,10 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
       config_.batch_size > 0 ? static_cast<std::size_t>(config_.batch_size)
                              : n;
 
+  // One serial stream feeds every hidden-state draw, so training is
+  // bit-identical to the serial reference at any thread count.
   rng::Rng rng(config_.seed ^ 0x5242747261696eULL);  // "RBtrain" stream
   const std::size_t nv = w_.rows(), nh = w_.cols();
-
-  // Hidden-state draws. Deterministic mode (default) consumes the single
-  // serial training stream — bit-identical to the serial reference at any
-  // thread count. The opt-in fast path (parallel::Deterministic() false)
-  // batches row shards onto independent ShardRng substreams, one fresh
-  // stream id per draw: reproducible for a fixed seed and thread-count
-  // invariant, but a different (parallelizable) stream.
-  const bool sharded_sampling = !parallel::Deterministic();
-  std::uint64_t draw_counter = 0;
-  const std::uint64_t draw_stream_base =
-      config_.seed ^ 0x73686473747261ULL;  // "shdstra" stream tag
-  const auto draw_hidden_states = [&](linalg::Matrix* probs) {
-    if (sharded_sampling) {
-      SampleBernoulliSharded(
-          probs, draw_stream_base + 0x9e3779b97f4a7c15ULL * ++draw_counter);
-    } else {
-      SampleBernoulliInPlace(probs, &rng);
-    }
-  };
 
   if (config_.weight_init == RbmConfig::WeightInit::kPca) {
     const linalg::Matrix* dense = source.DenseView();
@@ -341,14 +309,14 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
       // the telemetry — even when PCD supplies the negative phase.
       linalg::Matrix h_states = h_data;
       if (config_.sample_hidden_states) {
-        draw_hidden_states(&h_states);
+        SampleBernoulliInPlace(&h_states, &rng);
       }
       linalg::Matrix v_recon = ReconstructVisible(h_states);
       linalg::Matrix h_recon = HiddenFeatures(v_recon);
       for (int k = 1; k < config_.cd_k && !pcd; ++k) {
         h_states = h_recon;
         if (config_.sample_hidden_states) {
-          draw_hidden_states(&h_states);
+          SampleBernoulliInPlace(&h_states, &rng);
         }
         v_recon = ReconstructVisible(h_states);
         h_recon = HiddenFeatures(v_recon);
@@ -364,7 +332,7 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
           h_chain = HiddenFeatures(chains);
           linalg::Matrix h_sample = h_chain;
           if (config_.sample_hidden_states) {
-            draw_hidden_states(&h_sample);
+            SampleBernoulliInPlace(&h_sample, &rng);
           }
           chains = ReconstructVisible(h_sample);
         }

@@ -61,11 +61,10 @@ class RbmBase {
   /// path. A background thread double-buffers the next batch gather
   /// while the current one trains, so at most two batches (plus PCD
   /// chains) are resident at once. Gathering is RNG-free, so the result
-  /// is bit-identical to Train on the materialized matrix, in both
-  /// determinism modes and at any thread count. PCA weight init needs
-  /// the full matrix and fails with kInvalidArgument unless the source
-  /// has a DenseView; malformed shapes and gather failures surface as
-  /// non-OK Status instead of aborting.
+  /// is bit-identical to Train on the materialized matrix at any thread
+  /// count. PCA weight init needs the full matrix and fails with
+  /// kInvalidArgument unless the source has a DenseView; malformed shapes
+  /// and gather failures surface as non-OK Status instead of aborting.
   StatusOr<std::vector<EpochStats>> TrainFromSource(
       const TrainingDataSource& source);
 
@@ -144,13 +143,6 @@ class RbmBase {
   void InitWeightsFromPca(const linalg::Matrix& data);
   /// Samples binary states from probabilities in place.
   void SampleBernoulliInPlace(linalg::Matrix* probs, rng::Rng* rng) const;
-  /// Fast-path Bernoulli sampling (parallel::Deterministic() == false):
-  /// row shards of fixed width draw from independent ShardRng substreams
-  /// keyed by (stream, shard), so the result is reproducible for a fixed
-  /// stream and identical at any thread count — but not identical to the
-  /// serial single-stream draw above.
-  void SampleBernoulliSharded(linalg::Matrix* probs,
-                              std::uint64_t stream) const;
 };
 
 }  // namespace mcirbm::rbm

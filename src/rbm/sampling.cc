@@ -1,19 +1,9 @@
 #include "rbm/sampling.h"
 
-#include <algorithm>
-
-#include "parallel/thread_pool.h"
 #include "rng/rng.h"
 #include "util/check.h"
 
 namespace mcirbm::rbm {
-namespace {
-
-// Fixed shard width for the fast-path chains: boundaries depend only on
-// the chain count, so results are identical at any thread count.
-constexpr std::size_t kChainGrain = 32;
-
-}  // namespace
 
 linalg::Matrix SampleFantasies(const RbmBase& model,
                                const linalg::Matrix& start,
@@ -22,34 +12,7 @@ linalg::Matrix SampleFantasies(const RbmBase& model,
   MCIRBM_CHECK_EQ(start.cols(), model.weights().rows())
       << "start width != num_visible";
   MCIRBM_CHECK_GE(options.burn_in, 1);
-  const std::uint64_t stream = options.seed ^ 0x6769626273ULL;  // "gibbs"
-
-  if (!parallel::Deterministic() && options.sample_hidden) {
-    // Opt-in fast path: chains run in fixed row shards, each shard on its
-    // own ShardRng substream. Reproducible for a fixed seed and identical
-    // at any thread count, but not the serial single-stream draw order.
-    const std::size_t n = start.rows();
-    const std::size_t d = start.cols();
-    linalg::Matrix out(n, d);
-    parallel::ParallelFor(
-        n, kChainGrain, [&](std::size_t begin, std::size_t end) {
-          rng::Rng rng = parallel::ShardRng(stream, begin / kChainGrain);
-          linalg::Matrix v(end - begin, d);
-          for (std::size_t i = begin; i < end; ++i) {
-            std::copy_n(start.data() + i * d, d,
-                        v.data() + (i - begin) * d);
-          }
-          for (int step = 0; step < options.burn_in; ++step) {
-            v = model.GibbsStep(v, /*sample_hidden=*/true, &rng);
-          }
-          for (std::size_t i = begin; i < end; ++i) {
-            std::copy_n(v.data() + (i - begin) * d, d, out.data() + i * d);
-          }
-        });
-    return out;
-  }
-
-  rng::Rng rng(stream);
+  rng::Rng rng(options.seed ^ 0x6769626273ULL);  // "gibbs" stream tag
   linalg::Matrix v = start;
   for (int step = 0; step < options.burn_in; ++step) {
     v = model.GibbsStep(v, options.sample_hidden, &rng);

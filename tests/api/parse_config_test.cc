@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "api/api.h"
 
@@ -36,11 +37,15 @@ TEST(ParseConfigTest, LaterLinesWin) {
 }
 
 TEST(ParseConfigTest, UnknownKeyIsNotFoundWithLineNumber) {
-  auto config = ParseConfig("rbm.epochs = 3\nrbm.bogus = 1\n");
-  ASSERT_FALSE(config.ok());
-  EXPECT_EQ(config.status().code(), StatusCode::kNotFound);
-  EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
-      << config.status().ToString();
+  for (const char* line :
+       {"rbm.bogus = 1\n", "parallel.deterministic = false\n",
+        "sls.use_fast_gradient = false\n"}) {
+    auto config = ParseConfig(std::string("rbm.epochs = 3\n") + line);
+    ASSERT_FALSE(config.ok()) << line;
+    EXPECT_EQ(config.status().code(), StatusCode::kNotFound) << line;
+    EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
+        << config.status().ToString();
+  }
 }
 
 TEST(ParseConfigTest, MalformedValueIsParseError) {
@@ -108,6 +113,14 @@ TEST(ParsePipelineSpecTest, RejectsBadSpecValues) {
           .status()
           .code(),
       StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ParsePipelineSpec("data.family = uci\nparallel.threads = -2\n")
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  // 0 keeps the current pool.
+  EXPECT_TRUE(
+      ParsePipelineSpec("data.family = uci\nparallel.threads = 0\n").ok());
 }
 
 TEST(ParsePipelineSpecFileTest, MissingFileIsIoError) {

@@ -30,7 +30,6 @@ class ParityTest : public ::testing::Test {
  protected:
   ~ParityTest() override {
     parallel::SetNumThreads(0);
-    parallel::SetDeterministic(parallel::DefaultDeterministic());
   }
 };
 
@@ -106,32 +105,6 @@ TEST_F(ParityTest, KMeansLabelsIdenticalAcrossWidths) {
     EXPECT_EQ(got.objective, reference.objective);
     EXPECT_EQ(got.iterations, reference.iterations);
   }
-}
-
-TEST_F(ParityTest, FastKMeansModeIsThreadCountInvariant) {
-  // deterministic=false trades the serial-reference restart stream for
-  // ShardRng substreams; the result must still be identical at any
-  // thread count (it depends only on seed and restart index).
-  data::GaussianMixtureSpec spec;
-  spec.name = "parity-fast";
-  spec.num_classes = 3;
-  spec.num_instances = 300;
-  spec.num_features = 8;
-  spec.separation = 4.0;
-  const data::Dataset ds = data::GenerateGaussianMixture(spec, 13);
-
-  clustering::KMeansConfig cfg;
-  cfg.k = 3;
-  parallel::SetDeterministic(false);
-  parallel::SetNumThreads(1);
-  const auto reference = clustering::KMeans(cfg).Cluster(ds.x, 5);
-  for (int width : {2, 8}) {
-    parallel::SetNumThreads(width);
-    const auto got = clustering::KMeans(cfg).Cluster(ds.x, 5);
-    EXPECT_EQ(got.assignment, reference.assignment);
-    EXPECT_EQ(got.objective, reference.objective);
-  }
-  parallel::SetDeterministic(true);
 }
 
 template <typename Model>
@@ -270,9 +243,7 @@ TEST_F(ParityTest, SlsGradientBitIdenticalAcrossWidths) {
 }
 
 TEST_F(ParityTest, FantasySamplingDeterministicDefaultParity) {
-  // Pins the deterministic mode (the shipped default): the single-stream
-  // Gibbs chain is bit-identical at any thread count.
-  parallel::SetDeterministic(true);
+  // The single-stream Gibbs chain is bit-identical at any thread count.
   linalg::Matrix x = RandomMatrix(96, 24, 51);
   linalg::SigmoidInPlace(&x);
   rbm::RbmConfig config;
@@ -288,88 +259,6 @@ TEST_F(ParityTest, FantasySamplingDeterministicDefaultParity) {
   gibbs.seed = 13;
   ExpectSameMatrixAtAllWidths(
       [&] { return rbm::SampleFantasies(model, x, gibbs); });
-}
-
-TEST_F(ParityTest, FastGibbsSamplerSeedReproducible) {
-  // deterministic=false trades the serial RNG stream for per-shard
-  // substreams: the fantasies must still be a pure function of the seed,
-  // identical at any thread count, and distinct for a different seed.
-  linalg::Matrix x = RandomMatrix(96, 24, 53);
-  linalg::SigmoidInPlace(&x);
-  rbm::RbmConfig config;
-  config.num_visible = 24;
-  config.num_hidden = 16;
-  config.epochs = 2;
-  config.seed = 5;
-  parallel::SetNumThreads(1);
-  rbm::Rbm model(config);
-  model.Train(x);
-  rbm::GibbsOptions gibbs;
-  gibbs.burn_in = 5;
-  gibbs.seed = 17;
-
-  parallel::SetDeterministic(false);
-  parallel::SetNumThreads(1);
-  const linalg::Matrix reference = rbm::SampleFantasies(model, x, gibbs);
-  for (int width : {1, 2, 4, 8}) {
-    parallel::SetNumThreads(width);
-    const linalg::Matrix got = rbm::SampleFantasies(model, x, gibbs);
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got.data()[i], reference.data()[i])
-          << "fantasy element " << i << " differs at " << width
-          << " threads";
-    }
-  }
-  rbm::GibbsOptions other = gibbs;
-  other.seed = 18;
-  const linalg::Matrix different = rbm::SampleFantasies(model, x, other);
-  bool any_differs = false;
-  for (std::size_t i = 0; i < different.size() && !any_differs; ++i) {
-    any_differs = different.data()[i] != reference.data()[i];
-  }
-  EXPECT_TRUE(any_differs) << "seed change did not perturb the fast chain";
-  parallel::SetDeterministic(true);
-
-  // The deterministic default is a *different* stream than the fast path
-  // (single serial chain), so flipping the mode back changes the draw.
-  const linalg::Matrix serial = rbm::SampleFantasies(model, x, gibbs);
-  bool mode_differs = false;
-  for (std::size_t i = 0; i < serial.size() && !mode_differs; ++i) {
-    mode_differs = serial.data()[i] != reference.data()[i];
-  }
-  EXPECT_TRUE(mode_differs);
-}
-
-TEST_F(ParityTest, FastCd1TrainingSeedReproducible) {
-  // Sharded hidden-state sampling in the training loop: fixed seed ->
-  // fixed weights at any thread count.
-  linalg::Matrix x = RandomMatrix(200, 32, 57);
-  linalg::SigmoidInPlace(&x);
-  rbm::RbmConfig config;
-  config.num_visible = 32;
-  config.num_hidden = 24;
-  config.epochs = 3;
-  config.batch_size = 64;
-  config.seed = 11;
-
-  parallel::SetDeterministic(false);
-  parallel::SetNumThreads(1);
-  rbm::Rbm reference(config);
-  reference.Train(x);
-  for (int width : {1, 2, 4, 8}) {
-    parallel::SetNumThreads(width);
-    rbm::Rbm got(config);
-    got.Train(x);
-    ASSERT_EQ(got.weights().size(), reference.weights().size());
-    for (std::size_t i = 0; i < got.weights().size(); ++i) {
-      ASSERT_EQ(got.weights().data()[i], reference.weights().data()[i])
-          << "fast-mode weight " << i << " differs at " << width
-          << " threads";
-    }
-    EXPECT_EQ(got.hidden_bias(), reference.hidden_bias());
-  }
-  parallel::SetDeterministic(true);
 }
 
 TEST_F(ParityTest, Cd1WeightUpdatesIdenticalAcrossWidths) {

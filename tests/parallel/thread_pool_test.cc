@@ -187,15 +187,5 @@ TEST_F(ThreadPoolTest, ShardRngIsDeterministicAndDecorrelated) {
   EXPECT_NE(base, d.NextUint64());
 }
 
-TEST_F(ThreadPoolTest, DeterministicFlagRoundTrips) {
-  // The startup default tracks MCIRBM_DETERMINISTIC (true when unset).
-  EXPECT_EQ(Deterministic(), DefaultDeterministic());
-  SetDeterministic(false);
-  EXPECT_FALSE(Deterministic());
-  SetDeterministic(true);
-  EXPECT_TRUE(Deterministic());
-  SetDeterministic(DefaultDeterministic());
-}
-
 }  // namespace
 }  // namespace mcirbm::parallel

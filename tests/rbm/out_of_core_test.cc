@@ -1,8 +1,8 @@
 // Out-of-core training parity: Model::TrainFromSource streaming
 // minibatches from an mmap-backed binary artifact must be bit-identical
-// to Model::Train on the materialized matrix — at every thread count, in
-// both determinism modes. This is the contract that makes the binary
-// format and chunked ingestion safe to use for the paper benches.
+// to Model::Train on the materialized matrix at every thread count. This
+// is the contract that makes the binary format and chunked ingestion safe
+// to use for the paper benches.
 #include "api/model.h"
 
 #include <gtest/gtest.h>
@@ -30,8 +30,7 @@ data::Dataset MakeDataset() {
   return data::GenerateGaussianMixture(spec, 21);
 }
 
-core::PipelineConfig MakeConfig(core::ModelKind kind, int threads,
-                                bool deterministic) {
+core::PipelineConfig MakeConfig(core::ModelKind kind, int threads) {
   core::PipelineConfig config;
   config.model = kind;
   config.rbm.num_hidden = 8;
@@ -43,7 +42,6 @@ core::PipelineConfig MakeConfig(core::ModelKind kind, int threads,
   // execution-engine settings must travel through the config, not through
   // direct parallel::SetNumThreads calls.
   config.parallel.num_threads = threads;
-  config.parallel.deterministic = deterministic;
   return config;
 }
 
@@ -80,37 +78,31 @@ class OutOfCoreTest : public ::testing::Test {
     std::remove(path_.c_str());
     // Restore the global execution engine for later tests.
     parallel::SetNumThreads(0);
-    parallel::SetDeterministic(parallel::DefaultDeterministic());
   }
   std::string path_;
   data::Dataset dataset_;
 };
 
-TEST_F(OutOfCoreTest, GrbmParityAcrossThreadsAndDeterminismModes) {
-  for (const bool deterministic : {true, false}) {
-    for (const int threads : {1, 2, 4}) {
-      const auto config =
-          MakeConfig(core::ModelKind::kGrbm, threads, deterministic);
-      auto in_memory = api::Model::Train(dataset_.x, config, 7);
-      ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+TEST_F(OutOfCoreTest, GrbmParityAcrossThreads) {
+  for (const int threads : {1, 2, 4}) {
+    const auto config = MakeConfig(core::ModelKind::kGrbm, threads);
+    auto in_memory = api::Model::Train(dataset_.x, config, 7);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
 
-      data::DataSourceConfig source_config;
-      source_config.max_resident_rows = 16;
-      auto source = data::OpenMmapSource(path_, "ooc", source_config);
-      ASSERT_TRUE(source.ok()) << source.status().ToString();
-      auto streamed =
-          api::Model::TrainFromSource(*source.value(), config, 7);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    data::DataSourceConfig source_config;
+    source_config.max_resident_rows = 16;
+    auto source = data::OpenMmapSource(path_, "ooc", source_config);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    auto streamed = api::Model::TrainFromSource(*source.value(), config, 7);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
 
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " deterministic=" + std::to_string(deterministic));
-      ExpectBitIdentical(in_memory.value(), streamed.value(), dataset_.x);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectBitIdentical(in_memory.value(), streamed.value(), dataset_.x);
   }
 }
 
 TEST_F(OutOfCoreTest, BinaryRbmParity) {
-  const auto config = MakeConfig(core::ModelKind::kRbm, 2, true);
+  const auto config = MakeConfig(core::ModelKind::kRbm, 2);
   auto in_memory = api::Model::Train(dataset_.x, config, 7);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
   data::DataSourceConfig source_config;
@@ -123,7 +115,7 @@ TEST_F(OutOfCoreTest, BinaryRbmParity) {
 }
 
 TEST_F(OutOfCoreTest, InMemorySourceParity) {
-  const auto config = MakeConfig(core::ModelKind::kGrbm, 1, true);
+  const auto config = MakeConfig(core::ModelKind::kGrbm, 1);
   auto in_memory = api::Model::Train(dataset_.x, config, 7);
   ASSERT_TRUE(in_memory.ok());
   auto source = data::MakeInMemorySource(dataset_, {});
@@ -134,7 +126,7 @@ TEST_F(OutOfCoreTest, InMemorySourceParity) {
 }
 
 TEST_F(OutOfCoreTest, SlsModelRejectsNonDenseSource) {
-  const auto config = MakeConfig(core::ModelKind::kSlsGrbm, 1, true);
+  const auto config = MakeConfig(core::ModelKind::kSlsGrbm, 1);
   auto source = data::OpenMmapSource(path_, "ooc", {});
   ASSERT_TRUE(source.ok());
   auto streamed = api::Model::TrainFromSource(*source.value(), config, 7);
@@ -147,7 +139,7 @@ TEST_F(OutOfCoreTest, SequentialSourceRejected) {
   ASSERT_TRUE(data::SaveDatasetCsv(dataset_, csv).ok());
   auto source = data::OpenCsvSource(csv, "ooc", {});
   ASSERT_TRUE(source.ok());
-  const auto config = MakeConfig(core::ModelKind::kGrbm, 1, true);
+  const auto config = MakeConfig(core::ModelKind::kGrbm, 1);
   auto streamed = api::Model::TrainFromSource(*source.value(), config, 7);
   ASSERT_FALSE(streamed.ok());
   EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument);
