@@ -1,20 +1,33 @@
 #include "bench_common.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
-#include <map>
+#include <limits>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "data/loaders.h"
-#include "eval/report.h"
-#include "util/timer.h"
 
 namespace mcirbm::bench {
 namespace {
 
-long EnvLong(const char* name, long fallback) {
+// Reads one optional knob: unset yields `fallback`; a set value must be a
+// whole decimal number in [min, max], else the bench exits 2 naming it.
+long EnvLong(const char* name, long fallback, long min, long max) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::atol(value) : fallback;
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  long parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < min || parsed > max) {
+    std::cerr << "error: " << name << "='" << value << "': expected "
+              << (max == 1 ? "0 or 1" : "a positive integer") << "\n";
+    std::exit(2);
+  }
+  return parsed;
 }
 
 std::vector<std::string>& MutableDataSpecs() {
@@ -44,14 +57,10 @@ bool ParseBenchArgs(int argc, char** argv) {
   return true;
 }
 
-const std::vector<std::string>& BenchDataSpecs() {
-  return MutableDataSpecs();
-}
-
 std::vector<data::Dataset> LoadBenchDatasets(std::uint64_t seed) {
   std::vector<data::Dataset> datasets;
-  datasets.reserve(BenchDataSpecs().size());
-  for (const std::string& spec : BenchDataSpecs()) {
+  datasets.reserve(MutableDataSpecs().size());
+  for (const std::string& spec : MutableDataSpecs()) {
     data::DataSourceConfig config;
     config.synth_seed = seed;
     auto loaded = data::LoadDataset(spec, config);
@@ -67,67 +76,17 @@ std::vector<data::Dataset> LoadBenchDatasets(std::uint64_t seed) {
 
 eval::ExperimentConfig MakeBenchConfig(bool grbm_family) {
   eval::ExperimentConfig config = eval::MakePaperConfig(grbm_family);
-  config.repeats = static_cast<int>(EnvLong("MCIRBM_BENCH_REPEATS", 3));
-  config.seed = static_cast<std::uint64_t>(EnvLong("MCIRBM_BENCH_SEED", 7));
-  if (EnvLong("MCIRBM_BENCH_FULL", 0) == 0) {
-    config.max_instances =
-        static_cast<std::size_t>(EnvLong("MCIRBM_BENCH_MAX_N", 250));
+  constexpr long kMaxLong = std::numeric_limits<long>::max();
+  config.repeats = static_cast<int>(EnvLong(
+      "MCIRBM_BENCH_REPEATS", 3, 1, std::numeric_limits<int>::max()));
+  config.seed =
+      static_cast<std::uint64_t>(EnvLong("MCIRBM_BENCH_SEED", 7, 1, kMaxLong));
+  const long max_n = EnvLong("MCIRBM_BENCH_MAX_N", 250, 1, kMaxLong);
+  if (EnvLong("MCIRBM_BENCH_FULL", 0, 0, 1) == 0) {
+    config.max_instances = static_cast<std::size_t>(max_n);
   }
-  config.data_specs = BenchDataSpecs();
+  config.data_specs = MutableDataSpecs();
   return config;
-}
-
-const std::vector<eval::DatasetExperimentResult>& FamilyResults(
-    bool grbm_family) {
-  static std::map<bool, std::vector<eval::DatasetExperimentResult>> cache;
-  auto it = cache.find(grbm_family);
-  if (it == cache.end()) {
-    WallTimer timer;
-    std::cout << "running " << (grbm_family ? "datasets I (MSRA-MM-like)"
-                                            : "datasets II (UCI-like)")
-              << " experiments"
-              << (std::getenv("MCIRBM_BENCH_FULL") ? " [full size]"
-                                                   : " [fast mode]")
-              << "...\n"
-              << std::flush;
-    it = cache.emplace(grbm_family,
-                       RunFamilyExperiments(MakeBenchConfig(grbm_family)))
-             .first;
-    std::cout << "experiments done in " << timer.Seconds() << "s\n";
-  }
-  return it->second;
-}
-
-int RunTableBench(eval::PaperTable table) {
-  const bool grbm = eval::PaperTableIsGrbmFamily(table);
-  const auto& results = FamilyResults(grbm);
-  if (BenchDataSpecs().empty()) {
-    eval::PrintTableComparison(std::cout, table, results);
-  } else {
-    // User-supplied --data sources: the paper's fixed 9-dataset
-    // comparison doesn't apply, so render the measured grid alone.
-    eval::PrintMeasuredTable(std::cout, eval::PaperTableMetric(table),
-                             grbm, results);
-  }
-  eval::PrintFigureSeries(std::cout, table, results);
-  const auto checks = eval::EvaluateShapeChecks(
-      results, eval::PaperTableMetric(table), grbm);
-  return eval::PrintShapeChecks(std::cout, checks);
-}
-
-int RunAveragesBench(bool grbm_family) {
-  const auto& results = FamilyResults(grbm_family);
-  eval::PrintAveragesFigure(std::cout, grbm_family, results);
-  int failures = 0;
-  const std::vector<std::string> metrics =
-      grbm_family ? std::vector<std::string>{"accuracy", "purity", "fmi"}
-                  : std::vector<std::string>{"accuracy", "rand", "fmi"};
-  for (const auto& metric : metrics) {
-    const auto checks =
-        eval::EvaluateShapeChecks(results, metric, grbm_family);
-    failures += eval::PrintShapeChecks(std::cout, checks);
-  }
-  return failures;
 }
 
 }  // namespace mcirbm::bench

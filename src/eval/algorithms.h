@@ -25,12 +25,6 @@ clustering::ClusteringResult RunClusterer(ClustererKind kind,
                                           const linalg::Matrix& x, int k,
                                           std::uint64_t seed);
 
-/// Applies the MCIRBM_KMEANS_RESTARTS env override (the eval-side
-/// restart-sensitivity ablation) to kmeans `params` when set. Evaluation
-/// only — supervision voters always use the registry default so the
-/// ablation never perturbs training.
-void ApplyKMeansRestartOverride(mcirbm::ParamMap* params);
-
 }  // namespace mcirbm::eval
 
 #endif  // MCIRBM_EVAL_ALGORITHMS_H_

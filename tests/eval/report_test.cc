@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 namespace mcirbm::eval {
@@ -47,6 +48,26 @@ TEST(ShapeCheckTest, InvertedOrderFailsChecks) {
   int failures = 0;
   for (const auto& check : checks) failures += !check.Passes();
   EXPECT_GT(failures, 0);
+}
+
+// bench/repro_expected_failures.txt names each failing check by its
+// description, so the 36 checks bench_repro prints (GRBM family over
+// accuracy/purity/fmi, RBM family over accuracy/rand/fmi) must differ.
+TEST(ShapeCheckTest, ReproCheckDescriptionsAreDistinct) {
+  std::set<std::string> descriptions;
+  std::size_t total = 0;
+  for (const bool grbm : {true, false}) {
+    const auto results = FakeResults(grbm ? 9 : 6);
+    for (const char* metric :
+         {"accuracy", grbm ? "purity" : "rand", "fmi"}) {
+      for (const auto& check : EvaluateShapeChecks(results, metric, grbm)) {
+        descriptions.insert(check.description);
+        ++total;
+      }
+    }
+  }
+  EXPECT_EQ(total, 36u);
+  EXPECT_EQ(descriptions.size(), total);
 }
 
 TEST(PrintShapeChecksTest, CountsFailuresAndPrintsVerdicts) {

@@ -399,9 +399,6 @@ int RunEval(const Args& args) {
   const int k = args.GetInt("k", ds.num_classes);
   ParamMap params;
   params.Set("k", std::to_string(k));
-  if (clusterer_name == "kmeans") {
-    eval::ApplyKMeansRestartOverride(&params);
-  }
   auto clusterer = clustering::ClustererRegistry::Global().Create(
       clusterer_name, params);
   if (!clusterer.ok()) return Fail(clusterer.status());
